@@ -169,10 +169,38 @@ def eigenspaces(f: Automorphism, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[Cyc
     return found
 
 
-class ClosureCapError(RuntimeError):
+class ClosureCapExceeded(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"group closure exceeded cap of {cap} elements")
         self.cap = cap
+
+
+def _bfs(start, generators, step, key, cap: int, audit=None) -> dict:
+    """Breadth-first closure of start under step(generator, element).
+
+    Returns {key(element): element} in discovery order.  Every candidate is
+    first passed to audit(key, candidate, seen), if given; a candidate whose
+    key is already seen is then dropped.  Raises ClosureCapExceeded rather
+    than hold more than cap elements.
+    """
+    seen = {key(start): start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for elem in frontier:
+            for gen in generators:
+                cand = step(gen, elem)
+                k = key(cand)
+                if audit is not None:
+                    audit(k, cand, seen)
+                if k in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise ClosureCapExceeded(cap)
+                seen[k] = cand
+                nxt.append(cand)
+        frontier = nxt
+    return seen
 
 
 def automorphism_closure(generators, cap: int = 10000) -> list[Automorphism]:
@@ -180,22 +208,8 @@ def automorphism_closure(generators, cap: int = 10000) -> list[Automorphism]:
     gens = list(generators)
     if not gens:
         return []
-    seen: dict = {}
     start = identity_automorphism(gens[0].algebra.n)
-    seen[start] = start
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for elem in frontier:
-            for g in gens:
-                cand = compose(g, elem)
-                if cand not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureCapError(cap)
-                    seen[cand] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    return list(seen)
+    return list(_bfs(start, gens, compose, lambda f: f, cap))
 
 
 # --- the named 3x3 matrices used throughout the catalog ---------------------
@@ -208,11 +222,6 @@ def clock_matrix() -> Matrix:
 
 def shift_matrix() -> Matrix:
     """Cyclic shift: e1 -> e3 -> e2 -> e1 (rows (0,1,0),(0,0,1),(1,0,0))."""
-    return Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-
-
-def cycle_matrix() -> Matrix:
-    """Order-3 permutation matrix (same array as the shift)."""
     return Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
@@ -241,7 +250,7 @@ def sylvester_matrix() -> Matrix:
 NAMED_AUTOMORPHISMS = {
     "AdP": lambda: make_ad(clock_matrix()),
     "AdQ": lambda: make_ad(shift_matrix()),
-    "AdB1": lambda: make_ad(cycle_matrix()),
+    "AdB1": lambda: make_ad(shift_matrix()),
     "AdB2": lambda: make_ad(swap_matrix()),
     "AdH": lambda: make_ad(quarter_phase_matrix()),
     "AdD": lambda: make_ad(third_phase_matrix()),

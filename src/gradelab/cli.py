@@ -333,10 +333,6 @@ def cmd_normalizer_linearize(args) -> int:
 
 # --- contract subcommands -------------------------------------------------------
 
-def _pair_name(pair) -> str:
-    return con.format_pair(pair)
-
-
 def cmd_contract_equations(args) -> int:
     g = catalog(args.catalog).grading
     system = con.generate_equations(g)
@@ -347,7 +343,7 @@ def cmd_contract_equations(args) -> int:
     lines.append("variables:")
     for i, pair in enumerate(system.variables):
         tag = "" if i in system.active else "  (unconstrained)"
-        lines.append(f"  e{i} = {_pair_name(pair)}{tag}")
+        lines.append(f"  e{i} = {con.format_pair(pair)}{tag}")
     lines.append("equations (monomial m(i,j) = e_i*e_j):")
     for eq in system.equations:
         lines.append(f"  {eq}   [triple {', '.join(eq.triple)}; "
@@ -358,14 +354,14 @@ def cmd_contract_equations(args) -> int:
 
 
 def _mask_to_pair_map(system, mask: int) -> dict:
-    return {_pair_name(p): (mask >> i) & 1
+    return {con.format_pair(p): (mask >> i) & 1
             for i, p in enumerate(system.variables)}
 
 
 def cmd_contract_solve(args) -> int:
     g = catalog(args.catalog).grading
     system = con.generate_equations(g)
-    solved = con.solve_binary(system, jobs=args.jobs)
+    solved = con.solve_binary(system)
     limit = args.limit
     lines = [f"contraction solutions for {args.catalog}: "
              f"{solved.active_count} constrained patterns x "
@@ -419,7 +415,7 @@ def cmd_contract_solve(args) -> int:
 
 
 def _format_mask(system, mask: int) -> str:
-    on = [_pair_name(p) for i, p in enumerate(system.variables)
+    on = [con.format_pair(p) for i, p in enumerate(system.variables)
           if (mask >> i) & 1]
     return "{" + ", ".join(on) + "}" if on else "{}"
 
@@ -536,8 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_catalog(p)
     p.add_argument("--orbits", action="store_true",
                    help="partition solutions into symmetry orbits")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="solver branches run concurrently (results identical)")
     p.add_argument("--limit", type=int, default=20,
                    help="solutions/orbits to print (0 = all)")
     _add_format(p)

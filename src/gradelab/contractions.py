@@ -20,12 +20,10 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .cyclo import CycloNumber
-from .linalg import Matrix, Subspace, vec_is_zero
+from .linalg import Matrix, vec_is_zero
 from .liealg import jacobi_table_holds
 from .gradings import Grading, format_label
 from .normalizers import Permutation, PermutationGroup
@@ -255,12 +253,12 @@ def generate_equations(g: Grading) -> ContractionSystem:
                 raise ArithmeticError("Jacobi residual with a single surviving term")
             continue
         monomials = tuple(sorted(coeffs))
-        rank, pivots = _rank_with_pivots(list(coeffs.values()), dim)
+        _, pivots = Matrix.from_rows(coeffs.values()).rref()
         key = monomials
         if key not in seen:
             eq = Equation(monomials=monomials, rhs_zero=False,
                           triple=(names[a], names[b], names[c]),
-                          pivot_coords=pivots, rank=rank)
+                          pivot_coords=pivots, rank=len(pivots))
             seen[key] = eq
             equations.append(eq)
     return ContractionSystem(g, variables, equations, tuple(combo_tables))
@@ -274,30 +272,6 @@ def _allowed_mask(t1, t2, t3, dim: int) -> int:
         if vec_is_zero(residual):
             mask |= 1 << code
     return mask
-
-
-def _rank_with_pivots(rows, dim: int):
-    """Rank of the span of coefficient vectors and the pivot coordinates."""
-    work = [list(r) for r in rows]
-    pivots = []
-    row = 0
-    for col in range(dim):
-        pivot = next((r for r in range(row, len(work))
-                      if not work[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = work[row][col].inverse()
-        work[row] = [v * inv for v in work[row]]
-        for r in range(len(work)):
-            if r != row and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(work):
-            break
-    return row, tuple(pivots)
 
 
 # --- the contracted algebra and its Jacobi oracle ----------------------------
@@ -561,23 +535,18 @@ class SolutionSet:
 
 
 def solve_binary(system: ContractionSystem,
-                 node_cap: int | None = None,
-                 jobs: int = 1) -> SolutionSet:
+                 node_cap: int | None = None) -> SolutionSet:
     """Enumerate every binary solution by DFS with unit propagation.
 
     Branches on the constrained variables only (most-constrained-first,
     index as tie-break); free variables are carried symbolically by the
     returned SolutionSet.  Raises NodeCapExceeded past the node budget
     (argument, else the GRADELAB_NODE_CAP environment variable, else a
-    built-in default).  With jobs > 1 the search tree is split at its top
-    into fixed-prefix branches solved concurrently; the result is identical
-    for every jobs value, and the node budget then applies per branch.
+    built-in default); the budget covers the whole search.
     """
     if node_cap is None:
         env = os.environ.get(NODE_CAP_ENV)
         node_cap = int(env) if env else DEFAULT_NODE_CAP
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
 
     active = list(system.active)
     var_slot = {v: s for s, v in enumerate(active)}
@@ -630,128 +599,101 @@ def solve_binary(system: ContractionSystem,
     occurrence = [len(m) for m in monos_of_var]
     branch_order = sorted(range(n), key=lambda s: (-occurrence[s], s))
 
-    def enumerate_subtree(seed):
-        """All solutions whose leading branch slots carry the seed bits."""
-        values = [-1] * n           # per active slot
-        comp_values = [0 if z else -1 for z in forced_zero]
-        solutions: list = []
-        nodes = 0
+    values = [-1] * n           # per active slot
+    comp_values = [0 if z else -1 for z in forced_zero]
+    solutions: list = []
+    nodes = 0
 
-        def mono_value(mono):
-            u, v = mono
-            a = values[var_slot[u]]
-            if a == 0:
-                return 0
-            b = values[var_slot[v]]
-            if b == 0:
-                return 0
-            if a == 1 and b == 1:
-                return 1
-            return -1
+    def mono_value(mono):
+        u, v = mono
+        a = values[var_slot[u]]
+        if a == 0:
+            return 0
+        b = values[var_slot[v]]
+        if b == 0:
+            return 0
+        if a == 1 and b == 1:
+            return 1
+        return -1
 
-        def propagate(trail, comp_trail, queue) -> bool:
-            while queue:
-                slot = queue.pop()
-                for mono in monos_of_var[slot]:
-                    ci = comp_of_mono[mono]
-                    val = mono_value(mono)
-                    cur = comp_values[ci]
-                    if val != -1:
-                        if cur == -1:
-                            comp_values[ci] = val
-                            comp_trail.append(ci)
-                            cur = val
-                        elif cur != val:
-                            return False
-                    if cur == 1:
-                        # every factor of every member monomial must be 1
-                        for member in comp_list[ci]:
-                            for var in member:
-                                s = var_slot[var]
-                                if values[s] == 0:
-                                    return False
-                                if values[s] == -1:
-                                    values[s] = 1
-                                    trail.append(s)
-                                    queue.append(s)
-                    elif cur == 0:
-                        # a member with one factor already 1 forces the other to 0
-                        for member in comp_list[ci]:
-                            u, v = member
-                            su, sv = var_slot[u], var_slot[v]
-                            if values[su] == 1 and values[sv] == 1:
+    def propagate(trail, comp_trail, queue) -> bool:
+        while queue:
+            slot = queue.pop()
+            for mono in monos_of_var[slot]:
+                ci = comp_of_mono[mono]
+                val = mono_value(mono)
+                cur = comp_values[ci]
+                if val != -1:
+                    if cur == -1:
+                        comp_values[ci] = val
+                        comp_trail.append(ci)
+                        cur = val
+                    elif cur != val:
+                        return False
+                if cur == 1:
+                    # every factor of every member monomial must be 1
+                    for member in comp_list[ci]:
+                        for var in member:
+                            s = var_slot[var]
+                            if values[s] == 0:
                                 return False
-                            if values[su] == 1 and values[sv] == -1:
-                                values[sv] = 0
-                                trail.append(sv)
-                                queue.append(sv)
-                            elif values[sv] == 1 and values[su] == -1:
-                                values[su] = 0
-                                trail.append(su)
-                                queue.append(su)
-            return True
+                            if values[s] == -1:
+                                values[s] = 1
+                                trail.append(s)
+                                queue.append(s)
+                elif cur == 0:
+                    # a member with one factor already 1 forces the other to 0
+                    for member in comp_list[ci]:
+                        u, v = member
+                        su, sv = var_slot[u], var_slot[v]
+                        if values[su] == 1 and values[sv] == 1:
+                            return False
+                        if values[su] == 1 and values[sv] == -1:
+                            values[sv] = 0
+                            trail.append(sv)
+                            queue.append(sv)
+                        elif values[sv] == 1 and values[su] == -1:
+                            values[su] = 0
+                            trail.append(su)
+                            queue.append(su)
+        return True
 
-        def assign(slot, bit, trail, comp_trail) -> bool:
-            if values[slot] != -1:
-                return values[slot] == bit
-            values[slot] = bit
-            trail.append(slot)
-            return propagate(trail, comp_trail, [slot])
+    def assign(slot, bit, trail, comp_trail) -> bool:
+        if values[slot] != -1:
+            return values[slot] == bit
+        values[slot] = bit
+        trail.append(slot)
+        return propagate(trail, comp_trail, [slot])
 
-        def undo(trail, comp_trail):
-            for slot in trail:
-                values[slot] = -1
-            for ci in comp_trail:
-                comp_values[ci] = -1
+    def undo(trail, comp_trail):
+        for slot in trail:
+            values[slot] = -1
+        for ci in comp_trail:
+            comp_values[ci] = -1
 
-        def dfs():
-            nonlocal nodes
-            nodes += 1
-            if nodes > node_cap:
-                raise NodeCapExceeded(node_cap, nodes, len(solutions))
-            slot = next((s for s in branch_order if values[s] == -1), None)
-            if slot is None:
-                mask = 0
-                for s, v in enumerate(active):
-                    if values[s] == 1:
-                        mask |= 1 << v
-                solutions.append(mask)
-                return
-            for bit in (0, 1):
-                trail: list = []
-                comp_trail: list = []
-                if assign(slot, bit, trail, comp_trail):
-                    dfs()
-                undo(trail, comp_trail)
+    def dfs():
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise NodeCapExceeded(node_cap, nodes, len(solutions))
+        slot = next((s for s in branch_order if values[s] == -1), None)
+        if slot is None:
+            mask = 0
+            for s, v in enumerate(active):
+                if values[s] == 1:
+                    mask |= 1 << v
+            solutions.append(mask)
+            return
+        for bit in (0, 1):
+            trail: list = []
+            comp_trail: list = []
+            if assign(slot, bit, trail, comp_trail):
+                dfs()
+            undo(trail, comp_trail)
 
-        trail: list = []
-        comp_trail: list = []
-        ok = True
-        for slot, bit in seed:
-            if not assign(slot, bit, trail, comp_trail):
-                ok = False
-                break
-        if ok:
-            dfs()
-        return solutions
-
-    if jobs == 1 or n == 0:
-        solutions = enumerate_subtree(())
-    else:
-        split = min((jobs - 1).bit_length(), n)
-        prefixes = [tuple(zip(branch_order[:split], _bits(code, split)))
-                    for code in range(1 << split)]
-        import concurrent.futures
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            solutions = []
-            for chunk in pool.map(enumerate_subtree, prefixes):
-                solutions.extend(chunk)
+    dfs()
     masks = np.array(sorted(solutions), dtype=np.uint64)
     return SolutionSet(system, masks)
-
-
-def _bits(code: int, width: int) -> tuple:
-    return tuple((code >> i) & 1 for i in range(width))
 
 
 # --- normalizer symmetry on solution sets -------------------------------------

@@ -350,10 +350,6 @@ def zeta(order: int, power: int = 1) -> CycloNumber:
     return CycloNumber(order, _reduce(coeffs, order))
 
 
-def root_of_unity(order: int, power: int = 1) -> CycloNumber:
-    return zeta(order, power)
-
-
 # --- rational-polynomial helpers (inverse) --------------------------------
 
 def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 from . import cyclo
 from .cyclo import CycloNumber, zeta
@@ -25,7 +25,6 @@ from .autgrp import (
     make_ad,
     make_out,
     swap_matrix,
-    order as automorphism_order,
 )
 
 
@@ -417,26 +416,23 @@ def _g4_member(h: Automorphism) -> bool:
     return any(h.rep.scalar_multiple_of(m) is not None for m in _pauli_matrices())
 
 
-def _diag(entries) -> Matrix:
-    return Matrix.diagonal(entries)
-
-
 @lru_cache(maxsize=None)
 def mad_group_spec(name: str) -> MadGroupSpec:
     if name == "g1":
         return MadGroupSpec(
             name="g1",
-            separating_generators=(make_ad(_diag([1, zeta(3), 1])),
-                                   make_ad(_diag([1, 1, zeta(3)]))),
+            separating_generators=(make_ad(Matrix.diagonal([1, zeta(3), 1])),
+                                   make_ad(Matrix.diagonal([1, 1, zeta(3)]))),
             membership=_g1_member,
             is_infinite=True,
-            probes=(make_ad(_diag([1, 2, 4])),),
+            probes=(make_ad(Matrix.diagonal([1, 2, 4])),),
             description="all diagonal inner automorphisms (maximal torus)",
         )
     if name == "g2":
-        inner = [make_ad(_diag([1, 1, -1])), make_ad(_diag([1, -1, 1]))]
-        sign_diagonals = [_diag([1, 1, 1]), _diag([1, 1, -1]),
-                          _diag([1, -1, 1]), _diag([1, -1, -1])]
+        inner = [make_ad(Matrix.diagonal([1, 1, -1])),
+                 make_ad(Matrix.diagonal([1, -1, 1]))]
+        sign_diagonals = [Matrix.diagonal([1, 1, 1]), Matrix.diagonal([1, 1, -1]),
+                          Matrix.diagonal([1, -1, 1]), Matrix.diagonal([1, -1, -1])]
         elements = tuple(make_ad(d) for d in sign_diagonals) + \
             tuple(make_out(d) for d in sign_diagonals)
         return MadGroupSpec(
@@ -452,11 +448,11 @@ def mad_group_spec(name: str) -> MadGroupSpec:
         outer_probe = Matrix.from_rows([[1, 0, 0], [0, 0, 2], [0, half, 0]])
         return MadGroupSpec(
             name="g3",
-            separating_generators=(make_ad(_diag([1, zeta(8), zeta(8, 7)])),
+            separating_generators=(make_ad(Matrix.diagonal([1, zeta(8), zeta(8, 7)])),
                                    make_out(swap_matrix())),
             membership=_g3_member,
             is_infinite=True,
-            probes=(make_ad(_diag([1, 2, half])), make_out(outer_probe)),
+            probes=(make_ad(Matrix.diagonal([1, 2, half])), make_out(outer_probe)),
             description="diag(e,a,1/a) inner plus antidiagonal-block outer family",
         )
     if name == "g4":
@@ -471,13 +467,9 @@ def mad_group_spec(name: str) -> MadGroupSpec:
     raise ValueError(f"unknown MAD-group {name!r}; known: g1, g2, g3, g4")
 
 
-def _coords_of(algebra: LieAlgebra, matrix: Matrix) -> tuple:
-    return algebra.from_matrix(matrix)
-
-
 def _span(algebra: LieAlgebra, matrices) -> Subspace:
     return Subspace.from_vectors(algebra.dim,
-                                 [_coords_of(algebra, m) for m in matrices])
+                                 [algebra.from_matrix(m) for m in matrices])
 
 
 def _e(i: int, j: int) -> Matrix:
@@ -492,11 +484,11 @@ def _expected_parts(name: str) -> tuple:
     sl3 = special_linear(3)
     e = _e
     if name == "g1":
-        cartan = _span(sl3, [_diag([1, -1, 0]), _diag([0, 1, -1])])
+        cartan = _span(sl3, [Matrix.diagonal([1, -1, 0]), Matrix.diagonal([0, 1, -1])])
         singles = [e(1, 2), e(2, 3), e(1, 3), e(3, 1), e(3, 2), e(2, 1)]
         return (cartan,) + tuple(_span(sl3, [m]) for m in singles)
     if name == "g2":
-        diag_part = _span(sl3, [_diag([1, -1, 0]), _diag([0, 1, -1])])
+        diag_part = _span(sl3, [Matrix.diagonal([1, -1, 0]), Matrix.diagonal([0, 1, -1])])
         singles = [e(2, 1) + e(1, 2), e(3, 1) + e(1, 3), e(2, 3) + e(3, 2),
                    e(2, 1) - e(1, 2), e(2, 3) - e(3, 2), e(3, 1) - e(1, 3)]
         return (diag_part,) + tuple(_span(sl3, [m]) for m in singles)

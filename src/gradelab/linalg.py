@@ -147,11 +147,10 @@ class Matrix:
 
     # --- elimination ------------------------------------------------------
 
-    def _echelon(self, track_sign: bool = False):
-        """Row-reduce a copy; returns (rows, pivot_cols, sign_flips)."""
+    def _echelon(self):
+        """Row-reduce a copy; returns (rows, pivot_cols)."""
         work = self.row_list()
         pivots = []
-        swaps = 0
         r = 0
         for col in range(self.cols):
             pivot = next((i for i in range(r, self.rows) if not work[i][col].is_zero()), None)
@@ -159,7 +158,6 @@ class Matrix:
                 continue
             if pivot != r:
                 work[r], work[pivot] = work[pivot], work[r]
-                swaps += 1
             inv = work[r][col].inverse()
             work[r] = [v * inv for v in work[r]]
             for i in range(self.rows):
@@ -170,10 +168,10 @@ class Matrix:
             r += 1
             if r == self.rows:
                 break
-        return work, pivots, swaps
+        return work, pivots
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        work, pivots, _ = self._echelon()
+        work, pivots = self._echelon()
         return Matrix.from_rows(work), tuple(pivots)
 
     def rank(self) -> int:
@@ -213,7 +211,7 @@ class Matrix:
 
     def kernel(self) -> "Subspace":
         """Canonical basis of the right null space."""
-        work, pivots, _ = self._echelon()
+        work, pivots = self._echelon()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         zero = CycloNumber.zero(self.order)

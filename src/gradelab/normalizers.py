@@ -10,9 +10,10 @@ trivial permutation whose G-membership is checked structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .autgrp import Automorphism, compose, conjugate, inverse
+# ClosureCapExceeded is raised by _closure and stays importable from here
+from .autgrp import (Automorphism, ClosureCapExceeded, _bfs, compose,
+                     conjugate, identity_automorphism, inverse)
 from .gradings import Grading, MadGroupSpec, verify_grading
 from .linalg import Subspace
 
@@ -156,10 +157,6 @@ class NormalizerDiscrepancy(RuntimeError):
         self.witness = witness
 
 
-class ClosureCapExceeded(RuntimeError):
-    pass
-
-
 def normalizes(h: Automorphism, spec: MadGroupSpec) -> bool:
     """True iff h^-1 G h lies inside G.
 
@@ -204,54 +201,38 @@ def _closure(spec: MadGroupSpec, g: Grading, normalizer_gens, cap: int):
             raise ValueError(f"generator {h!r} does not normalize {spec.name}")
     gen_data = [(h, induced_permutation(h, g), 0 if h.kind == "inner" else 1)
                 for h in gens]
+    ident = identity_automorphism(g.algebra.n)
+    start = (Permutation.identity(g.num_parts), 0, ident)
+    inverses: dict = {start[:2]: ident}
 
-    algebra_n = g.algebra.n
-    from .autgrp import identity_automorphism
-    ident = identity_automorphism(algebra_n)
-    id_perm = Permutation.identity(g.num_parts)
-
-    states: dict = {(id_perm, 0): ident}
-    inverses: dict = {(id_perm, 0): ident}
-    parities_of: dict = {id_perm: {0}}
-    frontier = [(id_perm, 0)]
-
-    def audit(candidate: Automorphism, context: str):
+    def check(candidate: Automorphism, context: str):
         if not spec.membership(candidate):
             raise NormalizerDiscrepancy(
                 candidate,
                 f"{spec.name}: a word acting trivially on the grading is not in the "
                 f"group ({context}); cosets and permutations do not match")
 
-    while frontier:
-        nxt = []
-        for key in frontier:
-            perm, parity = key
-            witness = states[key]
-            for h, hperm, hparity in gen_data:
-                new_perm = hperm.compose(perm)
-                new_parity = parity ^ hparity
-                new_witness = compose(h, witness)
-                new_key = (new_perm, new_parity)
-                existing = states.get(new_key)
-                if existing is not None:
-                    inv = inverses.get(new_key)
-                    if inv is None:
-                        inv = inverse(existing)
-                        inverses[new_key] = inv
-                    audit(compose(inv, new_witness), "closure collision")
-                    continue
-                other = parities_of.get(new_perm)
-                if other is not None and new_parity not in other:
-                    sibling = states[(new_perm, 1 - new_parity)]
-                    audit(compose(inverse(sibling), new_witness),
-                          "same permutation from both parities")
-                if len(states) >= cap:
-                    raise ClosureCapExceeded(
-                        f"quotient closure exceeded {cap} states")
-                states[new_key] = new_witness
-                parities_of.setdefault(new_perm, set()).add(new_parity)
-                nxt.append(new_key)
-        frontier = nxt
+    def audit(key, state, seen):
+        witness = state[2]
+        existing = seen.get(key)
+        if existing is not None:
+            inv = inverses.get(key)
+            if inv is None:
+                inv = inverses[key] = inverse(existing[2])
+            check(compose(inv, witness), "closure collision")
+            return
+        sibling = seen.get((key[0], 1 - key[1]))
+        if sibling is not None:
+            check(compose(inverse(sibling[2]), witness),
+                  "same permutation from both parities")
+
+    def step(gen, state):
+        h, hperm, hparity = gen
+        perm, parity, witness = state
+        return hperm.compose(perm), parity ^ hparity, compose(h, witness)
+
+    seen = _bfs(start, gen_data, step, lambda state: state[:2], cap, audit)
+    states = {key: state[2] for key, state in seen.items()}
     return states, gen_data
 
 

@@ -16,15 +16,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import contractions as con
-from .autgrp import (automorphism_closure, compose, identity_automorphism,
-                     make_ad, make_out, named_automorphism)
-from .cyclo import CycloNumber, root_of_unity, zeta
+from .autgrp import (_bfs, automorphism_closure, compose, make_ad, make_out,
+                     named_automorphism)
+from .cyclo import CycloNumber, zeta
 from .gradings import (AbelianGroup, catalog, common_eigenspaces,
                        mad_group_spec, search_labeling, verify_grading,
                        verify_labeling, _expected_parts)
 from .liealg import special_linear
 from .linalg import Matrix, Subspace, as_cyclo
-from .normalizers import (Permutation, catalog_normalizer_generators,
+from .normalizers import (DEFAULT_CLOSURE_CAP, Permutation,
+                          catalog_normalizer_generators,
                           induced_permutation, inner_subquotient,
                           linearize_on_labels, quotient_group, support_group)
 
@@ -239,7 +240,8 @@ def check_5(bench: _Workbench) -> CheckResult:
     g1 = catalog("g1").grading
     images = [induced_permutation(named_automorphism(n), g1)
               for n in ("AdB1", "AdB2")]
-    generated = _permutation_closure(images, g1.num_parts)
+    generated = set(_bfs(Permutation.identity(g1.num_parts), images,
+                         Permutation.compose, lambda p: p, DEFAULT_CLOSURE_CAP))
     if generated != set(i1.elements):
         return CheckResult(5, "inner subquotients", False,
                            "g1 inner subquotient is not generated by the "
@@ -270,21 +272,6 @@ def check_5(bench: _Workbench) -> CheckResult:
                        "g1 inner = <AdB1, AdB2> of order 6; g4 inner "
                        "linearizes onto all 24 determinant-1 matrices over Z3",
                        time.time() - t0)
-
-
-def _permutation_closure(gens, degree):
-    seen = {Permutation.identity(degree)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = q.compose(p)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return seen
 
 
 def check_6(bench: _Workbench) -> CheckResult:

@@ -170,11 +170,6 @@ def test_json_output_is_byte_deterministic(capsys):
     _, second = run(capsys, "normalizer", "quotient", "--catalog", "g2",
                     "--format", "json")
     assert first == second
-    _, serial = run(capsys, "contract", "solve", "--catalog", "g1",
-                    "--format", "json", "--jobs", "1")
-    _, parallel = run(capsys, "contract", "solve", "--catalog", "g1",
-                      "--format", "json", "--jobs", "3")
-    assert serial == parallel
 
 
 def test_selfcheck_single_checks(capsys):

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from gradelab import selfcheck
-from gradelab.autgrp import make_ad, named_automorphism
+from gradelab.autgrp import (automorphism_closure, make_ad,
+                            named_automorphism)
 from gradelab.gradings import catalog, coarsen, mad_group_spec
 from gradelab.linalg import Matrix
 from gradelab.normalizers import (CATALOG_NORMALIZER_GENERATORS,
@@ -232,11 +233,21 @@ def test_linearize_requires_z3_square_labels():
         linearize_on_labels(Permutation.identity(8), catalog("g3").grading)
 
 
-def test_closure_cap_is_enforced():
+def test_closure_cap_is_enforced(monkeypatch):
+    # the quotient closure, the automorphism closure and check 5's
+    # permutation closure share one capped BFS and one cap exception
     entry = catalog("g2")
-    with pytest.raises(ClosureCapExceeded):
+    with pytest.raises(ClosureCapExceeded) as info:
         quotient_group(entry.spec, entry.grading,
                        catalog_normalizer_generators("g2"), cap=3)
+    assert info.value.cap == 3
+    with pytest.raises(ClosureCapExceeded) as info:
+        automorphism_closure(entry.spec.separating_generators, cap=3)
+    assert info.value.cap == 3
+    monkeypatch.setattr(selfcheck, "DEFAULT_CLOSURE_CAP", 3)
+    with pytest.raises(ClosureCapExceeded) as info:
+        selfcheck.check_5(selfcheck._Workbench())
+    assert info.value.cap == 3
 
 
 def test_generator_table_is_complete():
