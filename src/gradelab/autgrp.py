@@ -1,19 +1,23 @@
 """Inner and outer automorphisms of sl(n,C) with exact linear actions.
 
-An automorphism stores a projective representative matrix A (no determinant
-normalization, so everything stays inside small cyclotomic fields) together
-with its induced (n^2-1) x (n^2-1) action matrix on the fixed basis.  Two
-automorphisms are equal iff their action matrices are equal; the scalar
-ambiguity of A cancels in the action.
+An automorphism stores its kind and a projective representative matrix A
+(no determinant normalization, so everything stays inside small cyclotomic
+fields).  Its induced (n^2-1) x (n^2-1) action matrix on the fixed basis is
+built from A the first time it is read, and kept.  Two automorphisms are
+equal iff their action matrices are equal; the scalar ambiguity of A cancels
+in the action.  (Representatives alone would not do: on sl(2) the outer map
+Out_J is the identity.)
 
 Inner:  Ad_A X = A^-1 X A.      Outer:  Out_A X = -(A^-1 X A)^T.
 
-Composition tracks representatives exactly:
+Composition and inversion work on representatives alone, never on actions:
   compose(f, g) applies g first; its representative is
   rep_g * rep_f            when g is inner,
   rep_g * rep_f^(-T)       when g is outer,
-and the kind is inner iff the two kinds agree.  (Derived by expanding the
-definitions; verified in the tests.)
+and the kind is inner iff the two kinds agree; inverse(f) has representative
+rep_f^-1 when f is inner and rep_f^T when f is outer, and f's kind.  (Derived
+by expanding the definitions; the tests check each rule against products and
+inverses of the actions.)
 """
 from __future__ import annotations
 
@@ -28,22 +32,28 @@ DEFAULT_ORDER_CAP = 96
 
 
 class Automorphism:
-    __slots__ = ("algebra", "kind", "rep", "action")
+    __slots__ = ("algebra", "kind", "rep", "_action")
 
-    def __init__(self, algebra: LieAlgebra, kind: str, rep: Matrix, action: Matrix | None = None):
+    def __init__(self, algebra: LieAlgebra, kind: str, rep: Matrix):
         if kind not in (INNER, OUTER):
             raise ValueError(f"kind must be {INNER!r} or {OUTER!r}")
         if (rep.rows, rep.cols) != (algebra.n, algebra.n):
             raise ValueError("representative has the wrong shape")
-        if action is None:
-            action = _action_matrix(algebra, kind, rep)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "_action", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
+
+    @property
+    def action(self) -> Matrix:
+        """The action matrix on the basis, built on first use."""
+        if self._action is None:
+            object.__setattr__(self, "_action",
+                               _action_matrix(self.algebra, self.kind, self.rep))
+        return self._action
 
     def apply_coords(self, coords) -> tuple:
         return self.action.apply(coords)
@@ -112,7 +122,7 @@ def compose(f: Automorphism, g: Automorphism) -> Automorphism:
     else:
         rep = g.rep * f.rep.transpose().inverse()
     kind = INNER if f.kind == g.kind else OUTER
-    return Automorphism(f.algebra, kind, rep, action=f.action * g.action)
+    return Automorphism(f.algebra, kind, rep)
 
 
 def inverse(f: Automorphism) -> Automorphism:
@@ -120,7 +130,7 @@ def inverse(f: Automorphism) -> Automorphism:
         rep = f.rep.inverse()
     else:
         rep = f.rep.transpose()
-    return Automorphism(f.algebra, f.kind, rep, action=f.action.inverse())
+    return Automorphism(f.algebra, f.kind, rep)
 
 
 def conjugate(h: Automorphism, g: Automorphism) -> Automorphism:

@@ -551,7 +551,13 @@ def main(argv=None) -> int:
             getattr(args, "input", None) is None and \
             args.command == "grading" and args.subcommand == "verify":
         raise SystemExit("error: grading verify needs --catalog or --input")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # a bad value from outside (such as GRADELAB_NODE_CAP) is a usage
+        # error, not a negative verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -534,6 +534,20 @@ class SolutionSet:
                 f"2^{len(self.system.free)} free = {len(self)})")
 
 
+def _node_cap_from_env() -> int:
+    """The node budget set by GRADELAB_NODE_CAP, else the default."""
+    env = os.environ.get(NODE_CAP_ENV)
+    if not env:
+        return DEFAULT_NODE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{NODE_CAP_ENV} must be a positive integer, not {env!r}")
+    return cap
+
+
 def solve_binary(system: ContractionSystem,
                  node_cap: int | None = None) -> SolutionSet:
     """Enumerate every binary solution by DFS with unit propagation.
@@ -545,8 +559,7 @@ def solve_binary(system: ContractionSystem,
     built-in default); the budget covers the whole search.
     """
     if node_cap is None:
-        env = os.environ.get(NODE_CAP_ENV)
-        node_cap = int(env) if env else DEFAULT_NODE_CAP
+        node_cap = _node_cap_from_env()
 
     active = list(system.active)
     var_slot = {v: s for s, v in enumerate(active)}

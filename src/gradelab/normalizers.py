@@ -236,25 +236,35 @@ def _closure(spec: MadGroupSpec, g: Grading, normalizer_gens, cap: int):
     return states, gen_data
 
 
+def _quotient_and_inner(spec: MadGroupSpec, g: Grading, normalizer_gens,
+                        cap: int = DEFAULT_CLOSURE_CAP) -> tuple:
+    """The quotient and its inner subquotient, both from one closure.
+
+    The inner subquotient is the parity-0 slice of the closure's states,
+    generated by the parity-0 generators.
+    """
+    states, gen_data = _closure(spec, g, normalizer_gens, cap)
+
+    def group(parities):
+        records = [QuotientElement(perm, parity, witness)
+                   for (perm, parity), witness in states.items() if parity in parities]
+        perms = {perm for perm, parity in states if parity in parities}
+        gens = [p for _, p, parity in gen_data if parity in parities]
+        return PermutationGroup(g.num_parts, gens, perms, records)
+
+    return group((0, 1)), group((0,))
+
+
 def quotient_group(spec: MadGroupSpec, g: Grading, normalizer_gens,
                    cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
     """The quotient N(G)/G as a permutation group on grading parts."""
-    states, gen_data = _closure(spec, g, normalizer_gens, cap)
-    records = [QuotientElement(perm, parity, witness)
-               for (perm, parity), witness in states.items()]
-    perms = {perm for perm, _ in states}
-    return PermutationGroup(g.num_parts, [p for _, p, _ in gen_data], perms, records)
+    return _quotient_and_inner(spec, g, normalizer_gens, cap)[0]
 
 
 def inner_subquotient(spec: MadGroupSpec, g: Grading, normalizer_gens,
                       cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
     """The subgroup of the quotient reachable by inner words (parity 0)."""
-    states, gen_data = _closure(spec, g, normalizer_gens, cap)
-    records = [QuotientElement(perm, parity, witness)
-               for (perm, parity), witness in states.items() if parity == 0]
-    perms = {perm for perm, parity in states if parity == 0}
-    inner_gens = [p for h, p, parity in gen_data if parity == 0]
-    return PermutationGroup(g.num_parts, inner_gens, perms, records)
+    return _quotient_and_inner(spec, g, normalizer_gens, cap)[1]
 
 
 def support_group(g: Grading) -> PermutationGroup:

@@ -24,10 +24,9 @@ from .gradings import (AbelianGroup, catalog, common_eigenspaces,
                        verify_labeling, _expected_parts)
 from .liealg import special_linear
 from .linalg import Matrix, Subspace, as_cyclo
-from .normalizers import (DEFAULT_CLOSURE_CAP, Permutation,
-                          catalog_normalizer_generators,
-                          induced_permutation, inner_subquotient,
-                          linearize_on_labels, quotient_group, support_group)
+from .normalizers import (DEFAULT_CLOSURE_CAP, Permutation, _quotient_and_inner,
+                          catalog_normalizer_generators, induced_permutation,
+                          linearize_on_labels, support_group)
 
 SEED = 0x6C3A
 
@@ -54,18 +53,19 @@ class _Workbench:
         self._systems = {}
         self._solutions = {}
 
+    def _close(self, name):
+        entry = catalog(name)
+        self._quotients[name], self._inner[name] = _quotient_and_inner(
+            entry.spec, entry.grading, catalog_normalizer_generators(name))
+
     def quotient(self, name):
         if name not in self._quotients:
-            entry = catalog(name)
-            self._quotients[name] = quotient_group(
-                entry.spec, entry.grading, catalog_normalizer_generators(name))
+            self._close(name)
         return self._quotients[name]
 
     def inner(self, name):
         if name not in self._inner:
-            entry = catalog(name)
-            self._inner[name] = inner_subquotient(
-                entry.spec, entry.grading, catalog_normalizer_generators(name))
+            self._close(name)
         return self._inner[name]
 
     def system(self, name):

@@ -77,6 +77,24 @@ def test_inverse_round_trip():
         assert compose(inverse(f), f).is_identity()
 
 
+def rand_word():
+    """A product of 1-4 random inner and outer automorphisms."""
+    word = rand_automorphism()
+    for _ in range(rng.randint(0, 3)):
+        word = compose(word, rand_automorphism())
+    return word
+
+
+def test_representative_rules_match_the_actions():
+    # compose, inverse and conjugate work on 3x3 representatives only; the
+    # products and inverses of the factors' own actions are the oracle
+    for _ in range(25):
+        f, g, h = rand_word(), rand_word(), rand_word()
+        assert compose(f, g).action == f.action * g.action
+        assert inverse(f).action == f.action.inverse()
+        assert conjugate(h, g).action == h.action.inverse() * g.action * h.action
+
+
 def test_conjugate_preserves_kind_of_middle():
     for _ in range(20):
         h, g = rand_automorphism(), rand_automorphism()
@@ -97,6 +115,11 @@ def test_projective_equality():
     scaled = m.scale(Fraction(7, 2))
     assert make_ad(m) == make_ad(scaled)
     assert hash(make_ad(m)) == hash(make_ad(scaled))
+    # equality is by action, not by representative and kind: on sl(2) the
+    # outer Out_J is the identity map
+    out_j = make_out(Matrix.from_rows([[0, 1], [-1, 0]]), special_linear(2))
+    assert out_j == identity_automorphism(2)
+    assert hash(out_j) == hash(identity_automorphism(2))
 
 
 def test_eigenspace_dimensions_sum():

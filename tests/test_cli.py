@@ -209,3 +209,14 @@ def test_bad_group_spec_is_a_usage_error(capsys):
 def test_unknown_catalog_is_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["grading", "show", "--catalog", "g9"])
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_node_cap_is_a_one_line_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("GRADELAB_NODE_CAP", value)
+    rc = cli.main(["contract", "solve", "--catalog", "g1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: GRADELAB_NODE_CAP must be a positive integer, not {value!r}\n"

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from gradelab import selfcheck
+from gradelab import autgrp, selfcheck
 from gradelab.autgrp import (automorphism_closure, make_ad,
                             named_automorphism)
 from gradelab.gradings import catalog, coarsen, mad_group_spec
@@ -231,6 +231,37 @@ def test_linearize_rejects_a_non_linear_permutation():
 def test_linearize_requires_z3_square_labels():
     with pytest.raises(ValueError):
         linearize_on_labels(Permutation.identity(8), catalog("g3").grading)
+
+
+def test_closure_builds_actions_for_the_generators_only(monkeypatch):
+    # compose, inverse and the membership audits are 3x3 work; only the
+    # induced permutations of the generators read an 8x8 action
+    entry = catalog("g4")  # the spec's elements are built here, before counting
+    gens = catalog_normalizer_generators("g4")
+    built, large = [], []
+    action_matrix, mul, inv = autgrp._action_matrix, Matrix.__mul__, Matrix.inverse
+
+    def counting_action(*args):
+        built.append(args)
+        return action_matrix(*args)
+
+    def counting_mul(a, b):
+        if a.rows > 3:
+            large.append("product")
+        return mul(a, b)
+
+    def counting_inverse(a):
+        if a.rows > 3:
+            large.append("inverse")
+        return inv(a)
+
+    monkeypatch.setattr(autgrp, "_action_matrix", counting_action)
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    q = quotient_group(entry.spec, entry.grading, gens)
+    assert q.order == 48
+    assert 0 < len(built) <= len(gens)
+    assert large == []
 
 
 def test_closure_cap_is_enforced(monkeypatch):
