@@ -61,15 +61,40 @@ def render_coords(coords, algebra) -> str:
     return "".join(terms) if terms else "0"
 
 
+# what reading a JSON document of the wrong shape raises: a missing key, a
+# value of the wrong type, a zero denominator in a scalar
+_MALFORMED = (KeyError, TypeError, AttributeError, ZeroDivisionError)
+
+
+def _malformed(what: str, path: str, exc: Exception) -> ValueError:
+    reason = (f"missing key {exc}" if isinstance(exc, KeyError)
+              else f"{type(exc).__name__}: {exc}")
+    return ValueError(f"malformed {what} in {path!r}: {reason}")
+
+
+def _read_input(path: str) -> bytes:
+    """The bytes of a file, or of stdin for '-'."""
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _load_automorphism(spec_text: str) -> Automorphism:
+    """A named automorphism, or one from a JSON file or stdin ('-')."""
     if spec_text in NAMED_AUTOMORPHISMS:
         return named_automorphism(spec_text)
-    if spec_text == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(spec_text, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    return Automorphism.from_json(json.loads(raw))
+    try:
+        raw = _read_input(spec_text)
+    except OSError as exc:
+        raise ValueError(
+            f"unknown automorphism {spec_text!r}: not one of "
+            f"{', '.join(sorted(NAMED_AUTOMORPHISMS))}, and not a readable "
+            f"file ({exc.strerror})") from None
+    try:
+        return Automorphism.from_json(json.loads(raw))
+    except _MALFORMED as exc:
+        raise _malformed("automorphism", spec_text, exc) from None
 
 
 def _element_row(row, algebra):
@@ -90,36 +115,39 @@ def _element_row(row, algebra):
 
 def _load_grading(path: str):
     """Grading from a JSON file or stdin ('-'); returns (grading, sha256)."""
-    if path == "-":
-        raw = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+    try:
+        raw = _read_input(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read grading file {path!r}: "
+                         f"{exc.strerror}") from None
     digest = hashlib.sha256(raw).hexdigest()
     data = json.loads(raw.decode("utf-8"))
-    if "grading" in data and "parts" not in data:
-        data = data["grading"]
-    algebra = special_linear(int(data["n"]))
-    parts_json = []
-    for part in data["parts"]:
-        rows = [_element_row(r, algebra) for r in part["basis"]]
-        parts_json.append({
-            "ambient_dim": part.get("ambient_dim", algebra.dim),
-            "basis": [[v.to_json() for v in row] for row in rows]})
-    normalized = {"n": data["n"], "parts": parts_json,
-                  "group": data.get("group"),
-                  "labels": data.get("labels")}
-    return Grading.from_json(normalized), digest
+    try:
+        if "grading" in data and "parts" not in data:
+            data = data["grading"]
+        algebra = special_linear(int(data["n"]))
+        parts_json = []
+        for part in data["parts"]:
+            rows = [_element_row(r, algebra) for r in part["basis"]]
+            parts_json.append({
+                "ambient_dim": part.get("ambient_dim", algebra.dim),
+                "basis": [[v.to_json() for v in row] for row in rows]})
+        grading = Grading.from_json({"n": data["n"], "parts": parts_json,
+                                     "group": data.get("group"),
+                                     "labels": data.get("labels")})
+    except _MALFORMED as exc:
+        raise _malformed("grading", path, exc) from None
+    return grading, digest
 
 
 def _group_from_spec(text: str) -> AbelianGroup:
     try:
         orders = [int(tok) for tok in text.replace("x", ",").split(",") if tok]
     except ValueError:
-        raise SystemExit(f"error: cannot parse group spec {text!r}; "
-                         "use forms like '7' or '3,3'")
+        raise ValueError(f"cannot parse group spec {text!r}; "
+                         "use forms like '7' or '3,3'") from None
     if not orders or any(k < 1 for k in orders):
-        raise SystemExit(f"error: invalid group spec {text!r}")
+        raise ValueError(f"invalid group spec {text!r}")
     return AbelianGroup(tuple(orders))
 
 
@@ -149,9 +177,11 @@ def cmd_grading_verify(args) -> int:
     if args.catalog:
         g = catalog(args.catalog).grading
         source, digest = args.catalog, None
-    else:
+    elif args.input:
         g, digest = _load_grading(args.input)
         source = args.input
+    else:
+        raise ValueError("grading verify needs --catalog or --input")
     cert = verify_grading(g)
     labels_ok = None
     if g.labels is not None:
@@ -203,12 +233,12 @@ def cmd_grading_coarsen(args) -> int:
         try:
             block = tuple(sorted(int(t) for t in spec_text.split(",")))
         except ValueError:
-            raise SystemExit(f"error: bad --merge value {spec_text!r}")
+            raise ValueError(f"bad --merge value {spec_text!r}") from None
         for idx in block:
             if idx < 0 or idx >= g.num_parts:
-                raise SystemExit(f"error: part index {idx} out of range")
+                raise ValueError(f"part index {idx} out of range")
             if idx in used:
-                raise SystemExit(f"error: part index {idx} merged twice")
+                raise ValueError(f"part index {idx} merged twice")
             used.add(idx)
         merged.append(block)
     for idx in range(g.num_parts):
@@ -547,15 +577,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "catalog", None) is None and \
-            getattr(args, "input", None) is None and \
-            args.command == "grading" and args.subcommand == "verify":
-        raise SystemExit("error: grading verify needs --catalog or --input")
     try:
         return args.func(args)
     except ValueError as exc:
-        # a bad value from outside (such as GRADELAB_NODE_CAP) is a usage
-        # error, not a negative verdict
+        # a bad value from outside (an option, a file, GRADELAB_NODE_CAP) is
+        # a usage error, not a negative verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

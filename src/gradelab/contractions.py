@@ -30,6 +30,8 @@ from .normalizers import Permutation, PermutationGroup
 
 DEFAULT_NODE_CAP = 2_000_000
 NODE_CAP_ENV = "GRADELAB_NODE_CAP"
+CHUNK_BITS = 20             # a sweep enumerates 2^CHUNK_BITS assignments at a time
+MATERIALIZE_CAP = 1 << 22   # largest solution set that full-set orbits materialize
 
 
 def pair_key(a, b):
@@ -338,15 +340,14 @@ def jacobi_oracle(candidate: ContractedStructure) -> bool:
 
 # --- exhaustive binary sweeps (numpy) ----------------------------------------
 
-def _bit_columns(masks: np.ndarray, index: int) -> np.ndarray:
-    return (masks >> np.uint64(index)) & np.uint64(1)
+def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
+    """Sorted masks of the active assignments that `narrow` keeps.
 
-
-def sweep_equations(system: ContractionSystem, chunk_bits: int = 20) -> np.ndarray:
-    """All assignments of the active variables satisfying every equation.
-
-    Enumerates 2^len(active) assignments by brute force; returns the sorted
-    masks (bits positioned at the variable indices, free bits zero).
+    Enumerates the 2^len(active) assignments in chunks.  For each chunk,
+    `narrow(cols, ok)` receives the boolean column of every active variable
+    (keyed by variable index) and clears, in place, the entries of `ok` that
+    fail.  The kept masks carry their bits at the variable indices, free
+    bits zero.
     """
     active = system.active
     n = len(active)
@@ -354,12 +355,24 @@ def sweep_equations(system: ContractionSystem, chunk_bits: int = 20) -> np.ndarr
         raise ValueError(f"brute-force sweep over 2^{n} assignments refused")
     keep = []
     total = 1 << n
-    chunk = 1 << min(chunk_bits, n)
+    chunk = 1 << min(CHUNK_BITS, n)
     for start in range(0, total, chunk):
         compact = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        ok = np.ones(compact.shape, dtype=bool)
-        cols = {v: _bit_columns(compact, pos).astype(bool)
+        cols = {v: ((compact >> np.uint64(pos)) & np.uint64(1)).astype(bool)
                 for pos, v in enumerate(active)}
+        ok = np.ones(compact.shape, dtype=bool)
+        narrow(cols, ok)
+        keep.append(compact[ok])
+    return apply_variable_permutation(np.sort(np.concatenate(keep)), active)
+
+
+def sweep_equations(system: ContractionSystem) -> np.ndarray:
+    """All assignments of the active variables satisfying every equation.
+
+    Enumerates 2^len(active) assignments by brute force; returns the sorted
+    masks (bits positioned at the variable indices, free bits zero).
+    """
+    def narrow(cols, ok):
         for eq in system.equations:
             vals = [cols[u] & cols[v] for u, v in eq.monomials]
             if eq.rhs_zero:
@@ -370,14 +383,12 @@ def sweep_equations(system: ContractionSystem, chunk_bits: int = 20) -> np.ndarr
                 for val in vals[1:]:
                     ok &= first == val
             if not ok.any():
-                break
-        keep.append(compact[ok])
-    compact_masks = np.concatenate(keep) if keep else np.zeros(0, dtype=np.uint64)
-    return _spread_bits(np.sort(compact_masks), active)
+                return
+
+    return _sweep(system, narrow)
 
 
-def sweep_oracle(system: ContractionSystem, pin: int = 1,
-                 chunk_bits: int = 20) -> np.ndarray:
+def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
     """All active assignments passing the per-triple residual tables.
 
     Independent route: uses only exact residual evaluations of the Jacobi
@@ -385,65 +396,25 @@ def sweep_oracle(system: ContractionSystem, pin: int = 1,
     set are pinned to `pin`; pinned-variable irrelevance is a structural
     fact (their blocks bracket to zero) asserted in the test suite.
     """
-    active = system.active
-    n = len(active)
-    if n > 30:
-        raise ValueError(f"brute-force sweep over 2^{n} assignments refused")
-    position = {v: pos for pos, v in enumerate(active)}
-    tables = []
-    for ct in system._combo_tables:
-        if ct.allowed == 0xFF:
-            continue
-        factor_positions = []
-        for mono in ct.factor_vars:
-            if mono is None:
-                factor_positions.append(None)
-                continue
-            u, v = mono
-            factor_positions.append((position.get(u), position.get(v)))
-        tables.append((factor_positions, ct.allowed))
-    keep = []
-    total = 1 << n
-    chunk = 1 << min(chunk_bits, n)
-    pin_bool = bool(pin)
-    for start in range(0, total, chunk):
-        compact = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        ok = np.ones(compact.shape, dtype=bool)
-        col_cache: dict = {}
+    tables = [(ct.factor_vars,
+               np.array([(ct.allowed >> c) & 1 for c in range(8)], dtype=bool))
+              for ct in system._combo_tables if ct.allowed != 0xFF]
 
-        def col(pos):
-            if pos not in col_cache:
-                col_cache[pos] = _bit_columns(compact, pos).astype(bool)
-            return col_cache[pos]
-
-        def factor(pos):
-            if pos is None:
-                return np.full(compact.shape, pin_bool, dtype=bool)
-            return col(pos)
-
-        for factor_positions, allowed in tables:
-            code = np.zeros(compact.shape, dtype=np.uint8)
-            for slot, mono in enumerate(factor_positions):
+    def narrow(cols, ok):
+        pinned = np.full(ok.shape, bool(pin), dtype=bool)
+        for factor_vars, table_bits in tables:
+            code = np.zeros(ok.shape, dtype=np.uint8)
+            for slot, mono in enumerate(factor_vars):
                 if mono is None:
                     continue  # void term: its monomial never enters the residual
-                pu, pv = mono
-                code |= (factor(pu) & factor(pv)).astype(np.uint8) << np.uint8(slot)
-            table_bits = np.array([(allowed >> c) & 1 for c in range(8)],
-                                  dtype=bool)
+                u, v = mono
+                term = cols.get(u, pinned) & cols.get(v, pinned)
+                code |= term.astype(np.uint8) << np.uint8(slot)
             ok &= table_bits[code]
             if not ok.any():
-                break
-        keep.append(compact[ok])
-    compact_masks = np.concatenate(keep) if keep else np.zeros(0, dtype=np.uint64)
-    return _spread_bits(np.sort(compact_masks), active)
+                return
 
-
-def _spread_bits(compact: np.ndarray, positions) -> np.ndarray:
-    """Move bit p of each compact mask to bit positions[p]."""
-    out = np.zeros(compact.shape, dtype=np.uint64)
-    for pos, target in enumerate(positions):
-        out |= ((compact >> np.uint64(pos)) & np.uint64(1)) << np.uint64(target)
-    return out
+    return _sweep(system, narrow)
 
 
 # --- the backtracking solver --------------------------------------------------
@@ -496,19 +467,13 @@ class SolutionSet:
         return self.contains_mask(self.system.assignment_to_mask(eps))
 
     def masks(self, limit: int | None = None):
-        """Full solution masks (active pattern + free-cube pattern), lazily."""
-        free = self.system.free
-        count = 0
-        for base in self.active_masks:
-            base = int(base)
-            for bits in range(1 << len(free)):
-                mask = base
-                for pos, f in enumerate(free):
-                    mask |= ((bits >> pos) & 1) << f
-                yield mask
-                count += 1
-                if limit is not None and count >= limit:
-                    return
+        """Full solution masks, lazily: each active pattern in turn, combined
+        with the free bits in binary counting order (first free bit lowest)."""
+        cube = [0]
+        for f in self.system.free:
+            cube += [bits | 1 << f for bits in cube]
+        full = (int(base) | bits for base in self.active_masks for bits in cube)
+        return itertools.islice(full, limit)
 
     def assignments(self, limit: int | None = None):
         for mask in self.masks(limit):
@@ -736,6 +701,24 @@ def apply_variable_permutation(masks: np.ndarray, varperm) -> np.ndarray:
     return out
 
 
+def _least_images(masks: np.ndarray, varperms) -> np.ndarray | None:
+    """Least image of each sorted mask over all the variable permutations.
+
+    Returns None as soon as an image falls outside `masks`.  When the
+    permutations are the whole of a group, the least image of a mask is the
+    least mask of its orbit.
+    """
+    least = masks
+    last = masks.shape[0] - 1
+    for vp in varperms:
+        moved = apply_variable_permutation(masks, vp)
+        idx = np.minimum(np.searchsorted(masks, moved), last)
+        if np.any(masks[idx] != moved):
+            return None
+        least = np.minimum(least, moved)
+    return least
+
+
 def is_invariant(solutions: SolutionSet, quotient: PermutationGroup) -> bool:
     """Exact check that every pushforward maps the solution set onto itself.
 
@@ -744,18 +727,11 @@ def is_invariant(solutions: SolutionSet, quotient: PermutationGroup) -> bool:
     constrained patterns; this is checked for every group element.
     """
     system = solutions.system
-    base = solutions.active_masks
-    active_set = set(int(m) for m in base)
-    free_set = set(system.free)
-    for perm in quotient.elements:
-        varperm = pair_variable_permutation(perm, system)
-        for f in system.free:
-            if varperm[f] not in free_set:
-                return False
-        moved = apply_variable_permutation(base, varperm)
-        if set(int(m) for m in moved) != active_set:
-            return False
-    return True
+    free = set(system.free)
+    varperms = [pair_variable_permutation(p, system) for p in quotient.elements]
+    if any(vp[f] not in free for vp in varperms for f in free):
+        return False
+    return _least_images(solutions.active_masks, varperms) is not None
 
 
 @dataclass(frozen=True)
@@ -765,50 +741,31 @@ class Orbit:
 
 
 def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
-                    include_free: bool = True,
-                    materialize_cap: int = 1 << 22) -> list:
+                    include_free: bool = True) -> list:
     """Partition the solution set into orbits of the quotient action.
 
-    Returns Orbit records sorted by representative mask.  With include_free
-    the whole product set is materialized (sets beyond materialize_cap are
-    refused to keep memory bounded); without it the orbits are those of the
-    constrained patterns alone, i.e. solutions with every unconstrained
-    pair switched off, a subset closed under the action.
+    `quotient.elements` must be a whole group (closed under composition):
+    each orbit is then labeled by the least image of any of its members in
+    one pass over the elements.  Returns Orbit records sorted by
+    representative mask; raises ValueError if an image leaves the set.
+    With include_free the whole product set is materialized (sets beyond
+    MATERIALIZE_CAP are refused to keep memory bounded); without it the
+    orbits are those of the constrained patterns alone, i.e. solutions with
+    every unconstrained pair switched off, a subset closed under the action.
     """
     system = solutions.system
     if include_free:
         total = len(solutions)
-        if total > materialize_cap:
+        if total > MATERIALIZE_CAP:
             raise ValueError(
                 f"solution set of size {total} exceeds the materialization cap "
-                f"{materialize_cap}; pass include_free=False")
-        all_masks = np.fromiter(solutions.masks(), dtype=np.uint64, count=total)
-        all_masks = np.sort(all_masks)
+                f"{MATERIALIZE_CAP}; pass include_free=False")
+        masks = np.sort(np.fromiter(solutions.masks(), dtype=np.uint64, count=total))
     else:
-        all_masks = solutions.active_masks
-    varperms = [pair_variable_permutation(p, system) for p in quotient.elements]
-
-    # iterated minimum over images: label each solution with the least mask
-    # reachable from it, propagating until stable
-    labels = all_masks.copy()
-    changed = True
-    while changed:
-        changed = False
-        for vp in varperms:
-            moved = apply_variable_permutation(all_masks, vp)
-            idx = np.searchsorted(all_masks, moved)
-            if np.any(idx >= all_masks.shape[0]) or \
-                    np.any(all_masks[np.minimum(idx, all_masks.shape[0] - 1)] != moved):
-                raise ValueError("solution set is not invariant under the quotient")
-            lower = np.minimum(labels, labels[idx])
-            if not np.array_equal(lower, labels):
-                labels = lower
-                changed = True
-            # propagate backwards as well so labels flow both directions
-            back = labels.copy()
-            np.minimum.at(back, idx, labels)
-            if not np.array_equal(back, labels):
-                labels = back
-                changed = True
-    reps, counts = np.unique(labels, return_counts=True)
+        masks = solutions.active_masks
+    least = _least_images(masks, [pair_variable_permutation(p, system)
+                                  for p in quotient.elements])
+    if least is None:
+        raise ValueError("solution set is not invariant under the quotient")
+    reps, counts = np.unique(least, return_counts=True)
     return [Orbit(int(r), int(c)) for r, c in zip(reps, counts)]

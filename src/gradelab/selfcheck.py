@@ -396,7 +396,7 @@ def check_8(bench: _Workbench) -> CheckResult:
                                        f"{name}: pushforward of solution "
                                        f"{base} is not a solution",
                                        time.time() - t0)
-        include_free = len(solved) <= (1 << 22)
+        include_free = len(solved) <= con.MATERIALIZE_CAP
         orbits = con.symmetry_orbits(solved, q, include_free=include_free)
         total = sum(o.size for o in orbits)
         want = len(solved) if include_free else solved.active_count

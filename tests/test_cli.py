@@ -6,6 +6,7 @@ import types
 import pytest
 
 from gradelab import cli, selfcheck
+from gradelab.autgrp import NAMED_AUTOMORPHISMS
 
 
 def run(capsys, *argv):
@@ -199,11 +200,44 @@ def test_selfcheck_failure_exits_nonzero(capsys, monkeypatch):
     assert "0 of 1 checks passed" in out
 
 
+def assert_one_line_usage_error(capsys, argv):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    return captured.err
+
+
 def test_bad_group_spec_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["grading", "label", "--catalog", "g1", "--group", "bogus"])
-    with pytest.raises(SystemExit):
-        cli.main(["grading", "verify"])
+    for argv in (["grading", "label", "--catalog", "g1", "--group", "bogus"],
+                 ["grading", "coarsen", "--catalog", "g1", "--merge", "1,x"],
+                 ["grading", "coarsen", "--catalog", "g1", "--merge", "1,99"],
+                 ["grading", "coarsen", "--catalog", "g1",
+                  "--merge", "1,2", "--merge", "2,3"],
+                 ["grading", "verify"]):
+        assert_one_line_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("case", ["unknown-automorphism", "missing-file",
+                                  "no-parts", "zero-denominator"])
+def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
+    no_parts = tmp_path / "no_parts.json"
+    no_parts.write_text(json.dumps({"n": 3}))
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(json.dumps({"n": 3, "parts": [{"basis": ["1/0 E12"]}]}))
+    argv = {
+        "unknown-automorphism": ["normalizer", "check", "--catalog", "g4",
+                                 "--auto", "Foo"],
+        "missing-file": ["grading", "verify",
+                         "--input", str(tmp_path / "missing.json")],
+        "no-parts": ["grading", "verify", "--input", str(no_parts)],
+        "zero-denominator": ["grading", "verify", "--input", str(zero_den)],
+    }[case]
+    err = assert_one_line_usage_error(capsys, argv)
+    if case == "unknown-automorphism":
+        assert all(name in err for name in NAMED_AUTOMORPHISMS)
 
 
 def test_unknown_catalog_is_rejected(capsys):

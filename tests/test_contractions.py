@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from gradelab.contractions import (EpsilonAssignment, NodeCapExceeded,
+from gradelab.contractions import (ContractionSystem, EpsilonAssignment,
+                                   Equation, NodeCapExceeded,
                                    SolutionSet, apply_variable_permutation,
                                    contracted_structure, generate_equations,
                                    is_invariant, jacobi_oracle, pair_key,
@@ -110,6 +111,16 @@ def test_solver_agrees_with_equation_sweep():
         assert np.array_equal(solutions(name).active_masks, swept), name
 
 
+def test_sweeps_refuse_more_than_30_active_variables():
+    chain = Equation(monomials=tuple((i, i) for i in range(31)),
+                     rhs_zero=False, triple=(), pivot_coords=(), rank=0)
+    wide = ContractionSystem(None, [(i, i) for i in range(31)], [chain], ())
+    assert len(wide.active) == 31
+    for sweep in (sweep_equations, sweep_oracle):
+        with pytest.raises(ValueError, match="2\\^31"):
+            sweep(wide)
+
+
 def test_oracle_sweep_agrees_and_ignores_free_pins():
     for name in ("g1", "g3"):
         s = system(name)
@@ -157,6 +168,20 @@ def test_membership_and_iteration_are_consistent():
         assert eps in solved
 
 
+def test_masks_enumerate_free_bits_in_binary_counting_order():
+    solved = solutions("g2")
+    free = solved.system.free
+    expected = []
+    for base in solved.active_masks:
+        for bits in range(1 << len(free)):
+            mask = int(base)
+            for pos, f in enumerate(free):
+                mask |= ((bits >> pos) & 1) << f
+            expected.append(mask)
+    assert list(solved.masks()) == expected
+    assert len(expected) == len(solved)
+
+
 def test_node_cap_aborts_the_search():
     with pytest.raises(NodeCapExceeded) as info:
         solve_binary(system("g4"), node_cap=50)
@@ -193,6 +218,9 @@ def test_invariance_detects_a_broken_set():
         if moved:
             crippled = SolutionSet(s, np.array([mask], dtype=np.uint64))
             assert not is_invariant(crippled, q)
+            for include_free in (False, True):
+                with pytest.raises(ValueError, match="not invariant"):
+                    symmetry_orbits(crippled, q, include_free=include_free)
             return
     raise AssertionError("no mask with a nontrivial orbit found")
 
