@@ -58,10 +58,6 @@ class Automorphism:
     def apply_coords(self, coords) -> tuple:
         return self.action.apply(coords)
 
-    def apply_matrix(self, m: Matrix) -> Matrix:
-        conj = self.rep.inverse() * m * self.rep
-        return (-conj.transpose()) if self.kind == OUTER else conj
-
     def is_identity(self) -> bool:
         return self.action == Matrix.identity(self.algebra.dim)
 

@@ -61,9 +61,13 @@ def render_coords(coords, algebra) -> str:
     return "".join(terms) if terms else "0"
 
 
-# what reading a JSON document of the wrong shape raises: a missing key, a
-# value of the wrong type, a zero denominator in a scalar
-_MALFORMED = (KeyError, TypeError, AttributeError, ZeroDivisionError)
+# what reading a bad JSON document raises: bytes that are not UTF-8 or not
+# JSON, a missing key, a value of the wrong type, a zero denominator
+_MALFORMED = (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+              AttributeError, ZeroDivisionError)
+
+# largest group order `grading label` accepts: the search lists every element
+MAX_LABEL_GROUP_ORDER = 1 << 16
 
 
 def _malformed(what: str, path: str, exc: Exception) -> ValueError:
@@ -121,8 +125,8 @@ def _load_grading(path: str):
         raise ValueError(f"cannot read grading file {path!r}: "
                          f"{exc.strerror}") from None
     digest = hashlib.sha256(raw).hexdigest()
-    data = json.loads(raw.decode("utf-8"))
     try:
+        data = json.loads(raw.decode("utf-8"))
         if "grading" in data and "parts" not in data:
             data = data["grading"]
         algebra = special_linear(int(data["n"]))
@@ -148,6 +152,10 @@ def _group_from_spec(text: str) -> AbelianGroup:
                          "use forms like '7' or '3,3'") from None
     if not orders or any(k < 1 for k in orders):
         raise ValueError(f"invalid group spec {text!r}")
+    order = math.prod(orders)
+    if order > MAX_LABEL_GROUP_ORDER:
+        raise ValueError(f"group spec {text!r} has order {order}, "
+                         f"above the limit of {MAX_LABEL_GROUP_ORDER}")
     return AbelianGroup(tuple(orders))
 
 

@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -35,15 +33,6 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
-
-
-def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
 
 
 def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

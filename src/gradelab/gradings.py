@@ -131,9 +131,6 @@ class Grading:
     def part_index(self, subspace: Subspace) -> int | None:
         return self._index.get(subspace)
 
-    def with_labels(self, group: AbelianGroup, labels) -> "Grading":
-        return Grading(self.algebra, self.parts, group, labels)
-
     def __eq__(self, other):
         if not isinstance(other, Grading):
             return NotImplemented
@@ -244,70 +241,78 @@ def verify_labeling(g: Grading, group: AbelianGroup, labels) -> bool:
     return True
 
 
+def _part_maps(n: int, rules, candidates, combine):
+    """Every injective map of parts 0..n-1 that keeps each rule, as a tuple.
+
+    A rule (i, j, k) holds under phi when combine(phi(i), phi(j)) == phi(k),
+    with phi(None) = None; part p takes its image from candidates[p].  Parts
+    go by decreasing degree (occurrences in the rules), then by index, and
+    images in candidate order.  A partial map is pruned as soon as a rule
+    with both sources assigned contradicts an assigned target, or forces a
+    target to None or to an image that another part already holds.
+    """
+    degree = [0] * n
+    # rules whose consistency can change once a given part is assigned
+    touching: list = [[] for _ in range(n)]
+    for rule in rules:
+        parts = [p for p in rule if p is not None]
+        for p in parts:
+            degree[p] += 1
+        for p in set(parts):
+            touching[p].append(rule)
+    part_order = sorted(range(n), key=lambda p: (-degree[p], p))
+    image: dict = {}
+    used: set = set()
+
+    def consistent(p: int) -> bool:
+        for i, j, k in touching[p]:
+            if i not in image or j not in image:
+                continue
+            want = combine(image[i], image[j])
+            if k is None:
+                if want is not None:
+                    return False
+            elif k in image:
+                if image[k] != want:
+                    return False
+            elif want is None or want in used:
+                return False  # k's forced image is None or another part's
+        return True
+
+    def extend(depth: int):
+        if depth == n:
+            yield tuple(image[p] for p in range(n))
+            return
+        p = part_order[depth]
+        for q in candidates[p]:
+            if q in used:
+                continue
+            image[p] = q
+            used.add(q)
+            if consistent(p):
+                yield from extend(depth + 1)
+            del image[p]
+            used.discard(q)
+
+    return extend(0)
+
+
 def search_labeling(g: Grading, group: AbelianGroup):
     """Find an injective labeling satisfying the additivity rule, or None.
 
-    Backtracking over parts in order of decreasing constraint degree; a
-    partial assignment is pruned as soon as a fully assigned constraint
-    fails or a forced label collides with one already in use.
+    The first additive map of parts into the group found by `_part_maps`,
+    with the group elements in lexicographic order (the neutral element
+    first: parts that bracket into themselves are forced to 0).
     """
     if group.order < g.num_parts:
         return None
     cert = verify_grading(g)
     if not cert.ok:
         return None
-    constraints = [(i, j, k) for (i, j), k in cert.bracket_targets.items() if k is not None]
-    degree = [0] * g.num_parts
-    for i, j, k in constraints:
-        for p in (i, j, k):
-            degree[p] += 1
-    part_order = sorted(range(g.num_parts), key=lambda p: (-degree[p], p))
-    position = {p: idx for idx, p in enumerate(part_order)}
-
-    # candidate order puts the neutral element first: parts that bracket into
-    # themselves (or absorb others) are forced to 0, so this prunes early
-    candidates = sorted(group.elements())
-    candidates.remove(group.zero())
-    candidates.insert(0, group.zero())
-
-    assignment: dict = {}
-    used: set = set()
-
-    def consistent(p: int) -> bool:
-        for i, j, k in constraints:
-            if p not in (i, j, k):
-                continue
-            li, lj, lk = assignment.get(i), assignment.get(j), assignment.get(k)
-            if li is not None and lj is not None:
-                total = group.add(li, lj)
-                if lk is not None:
-                    if total != lk:
-                        return False
-                elif total in used:
-                    return False  # k's forced label is taken by another part
-        return True
-
-    def extend(depth: int):
-        if depth == g.num_parts:
-            return dict(assignment)
-        p = part_order[depth]
-        for label in candidates:
-            if label in used:
-                continue
-            assignment[p] = label
-            used.add(label)
-            if consistent(p):
-                found = extend(depth + 1)
-                if found is not None:
-                    return found
-            del assignment[p]
-            used.discard(label)
-        return None
-
-    solution = extend(0)
-    if solution is None:
-        return None
-    return [solution[p] for p in range(g.num_parts)]
+    rules = [(i, j, k) for (i, j), k in cert.bracket_targets.items() if k is not None]
+    labels = next(_part_maps(g.num_parts, rules, [group.elements()] * g.num_parts,
+                             group.add), None)
+    return None if labels is None else list(labels)
 
 
 def coarsen(g: Grading, partition) -> Grading:

@@ -116,22 +116,6 @@ class LieAlgebra:
                 acc = acc + b.scale(c)
         return acc
 
-    def element(self, coords) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(as_cyclo(c) for c in coords))
-
-    def basis_element(self, index: int) -> "AlgebraElement":
-        coords = [0] * self.dim
-        coords[index] = 1
-        return self.element(coords)
-
-    def named_element(self, name: str) -> "AlgebraElement":
-        """Parse basis names like "E12" or "H1"."""
-        try:
-            index = self.basis_names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown basis element {name!r} for sl({self.n})") from None
-        return self.basis_element(index)
-
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and other.n == self.n
 

@@ -68,9 +68,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def row_list(self) -> list[list[CycloNumber]]:
         return [list(self.row(i)) for i in range(self.rows)]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 # ClosureCapExceeded is raised by _closure and stays importable from here
 from .autgrp import (Automorphism, ClosureCapExceeded, _bfs, compose,
                      conjugate, identity_automorphism, inverse)
-from .gradings import Grading, MadGroupSpec, verify_grading
+from .gradings import Grading, MadGroupSpec, _part_maps, verify_grading
 from .linalg import Subspace
 
 DEFAULT_CLOSURE_CAP = 10000
@@ -276,9 +276,8 @@ def support_group(g: Grading) -> PermutationGroup:
     These permutations form a group that contains N(G)/G whatever generator
     words are chosen, so its order is an upper bound on the quotient order.
 
-    Backtracking over parts in index order; a partial assignment is pruned as
-    soon as an assigned pair's target contradicts an assigned image, or its
-    forced image is already taken by another part.
+    The permutations are the maps `gradings._part_maps` yields when every
+    part pair is a rule, its target None for a zero bracket.
     """
     cert = verify_grading(g)
     if not cert.ok:
@@ -286,45 +285,10 @@ def support_group(g: Grading) -> PermutationGroup:
                          "is not inside one part")
     targets = cert.bracket_targets
     n, dims = g.num_parts, g.part_dims
-    # pairs whose consistency can change once a given part is assigned
-    touching = {p: [(i, j) for (i, j), k in targets.items() if p in (i, j, k)]
-                for p in range(n)}
-    image: dict = {}
-    used: set = set()
-    found = []
-
-    def consistent(p: int) -> bool:
-        for i, j in touching[p]:
-            if i not in image or j not in image:
-                continue
-            k, want = targets[(i, j)], targets[(image[i], image[j])]
-            if (k is None) != (want is None):
-                return False
-            if k is None:
-                continue
-            if k in image:
-                if image[k] != want:
-                    return False
-            elif want in used:
-                return False  # k's forced image belongs to another part
-        return True
-
-    def extend(p: int):
-        if p == n:
-            found.append(Permutation(image[i] for i in range(n)))
-            return
-        for q in range(n):
-            if q in used or dims[q] != dims[p]:
-                continue
-            image[p] = q
-            used.add(q)
-            if consistent(p):
-                extend(p + 1)
-            del image[p]
-            used.discard(q)
-
-    extend(0)
-    return PermutationGroup(n, (), found)
+    rules = [(i, j, k) for (i, j), k in targets.items()]
+    candidates = [[q for q in range(n) if dims[q] == dims[p]] for p in range(n)]
+    found = _part_maps(n, rules, candidates, lambda a, b: targets[(a, b)])
+    return PermutationGroup(n, (), [Permutation(m) for m in found])
 
 
 def linearize_on_labels(p: Permutation, g: Grading):

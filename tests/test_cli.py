@@ -216,17 +216,25 @@ def test_bad_group_spec_is_a_usage_error(capsys):
                  ["grading", "coarsen", "--catalog", "g1", "--merge", "1,99"],
                  ["grading", "coarsen", "--catalog", "g1",
                   "--merge", "1,2", "--merge", "2,3"],
-                 ["grading", "verify"]):
-        assert_one_line_usage_error(capsys, argv)
+                 ["grading", "verify"],
+                 ["grading", "label", "--catalog", "g1", "--group", "100000000"]):
+        err = assert_one_line_usage_error(capsys, argv)
+        if "label" in argv:
+            assert repr(argv[-1]) in err
 
 
 @pytest.mark.parametrize("case", ["unknown-automorphism", "missing-file",
-                                  "no-parts", "zero-denominator"])
+                                  "no-parts", "zero-denominator", "bad-json",
+                                  "bad-json-automorphism", "not-utf8"])
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
     no_parts = tmp_path / "no_parts.json"
     no_parts.write_text(json.dumps({"n": 3}))
     zero_den = tmp_path / "zero_den.json"
     zero_den.write_text(json.dumps({"n": 3, "parts": [{"basis": ["1/0 E12"]}]}))
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("not json")
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe")
     argv = {
         "unknown-automorphism": ["normalizer", "check", "--catalog", "g4",
                                  "--auto", "Foo"],
@@ -234,8 +242,13 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
                          "--input", str(tmp_path / "missing.json")],
         "no-parts": ["grading", "verify", "--input", str(no_parts)],
         "zero-denominator": ["grading", "verify", "--input", str(zero_den)],
+        "bad-json": ["grading", "verify", "--input", str(bad_json)],
+        "bad-json-automorphism": ["normalizer", "check", "--catalog", "g4",
+                                  "--auto", str(bad_json)],
+        "not-utf8": ["grading", "verify", "--input", str(not_utf8)],
     }[case]
     err = assert_one_line_usage_error(capsys, argv)
+    assert repr(argv[-1]) in err
     if case == "unknown-automorphism":
         assert all(name in err for name in NAMED_AUTOMORPHISMS)
 

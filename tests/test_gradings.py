@@ -1,4 +1,6 @@
 """Fine gradings of sl(3,C): catalog construction, verification, labeling."""
+import itertools
+
 import pytest
 
 from gradelab.autgrp import (clock_matrix, make_ad, make_out, named_automorphism,
@@ -101,6 +103,21 @@ def test_g1_also_admits_a_z7_labeling():
 def test_g4_admits_no_z8_labeling():
     base = Grading(sl3, catalog("g4").grading.parts)
     assert search_labeling(base, AbelianGroup((8,))) is None
+
+
+@pytest.mark.parametrize("name, orders", [("g2", (2, 2, 2)), ("g3", (8,)),
+                                         ("g4", (8,)), ("g4", (3, 3))])
+def test_search_finds_a_labeling_iff_one_exists(name, orders):
+    base = Grading(sl3, catalog(name).grading.parts)
+    group = AbelianGroup(orders)
+    rules = [(i, j, k) for (i, j), k in verify_grading(base).bracket_targets.items()
+             if k is not None]
+    exists = any(all(group.add(m[i], m[j]) == m[k] for i, j, k in rules)
+                 for m in itertools.permutations(group.elements(), base.num_parts))
+    labels = search_labeling(base, group)
+    assert (labels is not None) == exists
+    if labels is not None:
+        assert verify_labeling(base, group, labels)
 
 
 def test_verify_labeling_rejects_a_swap():

@@ -1,4 +1,5 @@
 """Normalizer quotients N(G)/G acting on grading parts."""
+import itertools
 import math
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from gradelab import autgrp, selfcheck
 from gradelab.autgrp import (automorphism_closure, make_ad,
                             named_automorphism)
-from gradelab.gradings import catalog, coarsen, mad_group_spec
+from gradelab.gradings import catalog, coarsen, mad_group_spec, verify_grading
 from gradelab.linalg import Matrix
 from gradelab.normalizers import (CATALOG_NORMALIZER_GENERATORS,
                                   ClosureCapExceeded, Permutation,
@@ -125,6 +126,26 @@ def test_support_group_certifies_the_computed_quotients():
     broken = coarsen(catalog("g4").grading, [[0, 1], [2, 3], [4, 7], [5, 6]])
     with pytest.raises(ValueError):
         support_group(broken)
+
+
+# on g2 the bracket support alone allows 168 permutations, the dimensions 24
+@pytest.mark.parametrize("name", ["g1", "g2", "g4", "g1 coarsened"])
+def test_support_group_is_every_permutation_keeping_the_support(name):
+    if name == "g1 coarsened":
+        g = coarsen(catalog("g1").grading, [[0], [1, 6], [2], [3], [4], [5]])
+    else:
+        g = catalog(name).grading
+    targets = verify_grading(g).bracket_targets
+    dims = g.part_dims
+
+    def keeps_support(m):
+        return (all(dims[m[p]] == dims[p] for p in range(g.num_parts))
+                and all(targets[(m[i], m[j])] == (None if k is None else m[k])
+                        for (i, j), k in targets.items()))
+
+    brute = {Permutation(m) for m in itertools.permutations(range(g.num_parts))
+             if keeps_support(m)}
+    assert set(support_group(g).elements) == brute
 
 
 def test_criterion_4_fails_on_a_wrong_quotient():
