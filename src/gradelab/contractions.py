@@ -340,30 +340,48 @@ def jacobi_oracle(candidate: ContractedStructure) -> bool:
 
 # --- exhaustive binary sweeps (numpy) ----------------------------------------
 
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# Bit b of a sweep word is the assignment whose low six active variables are
+# the bits of b: active position pos < 6 reads as the fixed pattern below.
+_LOW_PATTERNS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> pos & 1))
+                      for pos in range(6))
+
+
 def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
     """Sorted masks of the active assignments that `narrow` keeps.
 
-    Enumerates the 2^len(active) assignments in chunks.  For each chunk,
-    `narrow(cols, ok)` receives the boolean column of every active variable
-    (keyed by variable index) and clears, in place, the entries of `ok` that
-    fail.  The kept masks carry their bits at the variable indices, free
-    bits zero.
+    Enumerates the 2^len(active) assignments bit-sliced, 64 to a uint64 word
+    (assignment number 64*w + b is bit b of word w), 2^CHUNK_BITS
+    assignments at a time.  Active position pos < 6 is a fixed 64-bit
+    pattern; a higher position is an all-ones or all-zeros word, bit pos - 6
+    of the word index.  For each chunk, `narrow(cols, ok)` receives the word
+    column of every active variable (keyed by variable index) and clears,
+    in place, the bits of `ok` whose assignments fail.  The kept masks carry
+    their bits at the variable indices, free bits zero.
     """
     active = system.active
     n = len(active)
     if n > 30:
         raise ValueError(f"brute-force sweep over 2^{n} assignments refused")
     keep = []
-    total = 1 << n
-    chunk = 1 << min(CHUNK_BITS, n)
-    for start in range(0, total, chunk):
-        compact = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        cols = {v: ((compact >> np.uint64(pos)) & np.uint64(1)).astype(bool)
+    total_words = 1 << max(n - 6, 0)
+    chunk_words = 1 << max(CHUNK_BITS - 6, 0)
+    # with fewer than six variables, one word holds every assignment and its
+    # high bits stand for none
+    tail = _ALL_ONES if n >= 6 else np.uint64((1 << (1 << n)) - 1)
+    for start in range(0, total_words, chunk_words):
+        words = np.arange(start, min(start + chunk_words, total_words),
+                          dtype=np.uint64)
+        cols = {v: _LOW_PATTERNS[pos] if pos < 6 else
+                np.uint64(0) - ((words >> np.uint64(pos - 6)) & np.uint64(1))
                 for pos, v in enumerate(active)}
-        ok = np.ones(compact.shape, dtype=bool)
+        ok = np.full(words.shape, tail, dtype=np.uint64)
         narrow(cols, ok)
-        keep.append(compact[ok])
-    return apply_variable_permutation(np.sort(np.concatenate(keep)), active)
+        bits = np.unpackbits(ok.astype("<u8", copy=False).view(np.uint8),
+                             bitorder="little")
+        keep.append(np.flatnonzero(bits).astype(np.uint64) + np.uint64(64 * start))
+    # `active` is increasing, so the scatter keeps the masks sorted
+    return apply_variable_permutation(np.concatenate(keep), active)
 
 
 def sweep_equations(system: ContractionSystem) -> np.ndarray:
@@ -381,7 +399,7 @@ def sweep_equations(system: ContractionSystem) -> np.ndarray:
             else:
                 first = vals[0]
                 for val in vals[1:]:
-                    ok &= first == val
+                    ok &= ~(first ^ val)
             if not ok.any():
                 return
 
@@ -397,20 +415,23 @@ def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
     fact (their blocks bracket to zero) asserted in the test suite.
     """
     tables = [(ct.factor_vars,
-               np.array([(ct.allowed >> c) & 1 for c in range(8)], dtype=bool))
+               [code for code in range(8) if not (ct.allowed >> code) & 1])
               for ct in system._combo_tables if ct.allowed != 0xFF]
+    pinned = _ALL_ONES if pin else np.uint64(0)
 
     def narrow(cols, ok):
-        pinned = np.full(ok.shape, bool(pin), dtype=bool)
-        for factor_vars, table_bits in tables:
-            code = np.zeros(ok.shape, dtype=np.uint8)
-            for slot, mono in enumerate(factor_vars):
-                if mono is None:
-                    continue  # void term: its monomial never enters the residual
-                u, v = mono
-                term = cols.get(u, pinned) & cols.get(v, pinned)
-                code |= term.astype(np.uint8) << np.uint8(slot)
-            ok &= table_bits[code]
+        for factor_vars, forbidden_codes in tables:
+            # a void term never enters the residual: its monomial reads 0
+            terms = [np.uint64(0) if mono is None else
+                     cols.get(mono[0], pinned) & cols.get(mono[1], pinned)
+                     for mono in factor_vars]
+            forbidden = np.uint64(0)
+            for code in forbidden_codes:
+                minterm = _ALL_ONES
+                for slot, term in enumerate(terms):
+                    minterm = minterm & (term if (code >> slot) & 1 else ~term)
+                forbidden = forbidden | minterm
+            ok &= ~forbidden
             if not ok.any():
                 return
 
@@ -693,12 +714,30 @@ def pair_variable_permutation(perm: Permutation, system: ContractionSystem) -> l
     return result
 
 
+# Row b holds the eight bits of the byte b, lowest first.
+_BYTE_BITS = ((np.arange(256, dtype=np.uint64)[:, None]
+               >> np.arange(8, dtype=np.uint64)) & np.uint64(1))
+_PUSH_BLOCK = 1 << 16  # masks pushed at a time, so that temporaries stay small
+
+
 def apply_variable_permutation(masks: np.ndarray, varperm) -> np.ndarray:
-    """Push an array of solution masks forward along a variable permutation."""
-    out = np.zeros(masks.shape, dtype=np.uint64)
-    for src, dst in enumerate(varperm):
-        out |= ((masks >> np.uint64(src)) & np.uint64(1)) << np.uint64(dst)
-    return out
+    """Push an array of solution masks forward along a variable permutation.
+
+    Bit k of a mask moves to bit varperm[k].  For each byte of the masks
+    that varperm covers, a 256-entry table holds the pushed-forward bits of
+    every byte value, so the whole push is one gather per byte.
+    """
+    n = len(varperm)
+    weights = np.zeros(-(-n // 8) * 8, dtype=np.uint64)
+    weights[:n] = np.uint64(1) << np.asarray(varperm, dtype=np.uint64)
+    tables = (_BYTE_BITS * weights.reshape(-1, 1, 8)).sum(axis=2, dtype=np.uint64)
+    data = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    out = np.zeros(data.shape[0], dtype=np.uint64)
+    for lo in range(0, data.shape[0], _PUSH_BLOCK):
+        block = out[lo:lo + _PUSH_BLOCK]
+        for k, table in enumerate(tables):
+            block |= np.take(table, data[lo:lo + _PUSH_BLOCK, k])
+    return out.reshape(masks.shape)
 
 
 def _least_images(masks: np.ndarray, varperms) -> np.ndarray | None:

@@ -1,12 +1,15 @@
 """Graded contraction systems: generation, solving, symmetry reduction."""
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from gradelab import selfcheck
 from gradelab.contractions import (ContractionSystem, EpsilonAssignment,
                                    Equation, NodeCapExceeded,
-                                   SolutionSet, apply_variable_permutation,
+                                   SolutionSet, _ComboTable,
+                                   apply_variable_permutation,
                                    contracted_structure, generate_equations,
                                    is_invariant, jacobi_oracle, pair_key,
                                    pair_variable_permutation, solve_binary,
@@ -106,7 +109,7 @@ def test_solution_counts_match_the_exhaustive_sweeps():
 
 
 def test_solver_agrees_with_equation_sweep():
-    for name in ("g1", "g2"):
+    for name in ("g1", "g2", "g3", "g4"):
         swept = sweep_equations(system(name))
         assert np.array_equal(solutions(name).active_masks, swept), name
 
@@ -119,15 +122,118 @@ def test_sweeps_refuse_more_than_30_active_variables():
     for sweep in (sweep_equations, sweep_oracle):
         with pytest.raises(ValueError, match="2\\^31"):
             sweep(wide)
+    # criterion 7 reports the refusal as its failure, not as a traceback
+    bench = selfcheck._Workbench()
+    bench.system = lambda name: wide
+    result = selfcheck.run_check(7, bench)
+    assert not result.passed
+    assert result.detail.startswith("g1: ") and "2^31" in result.detail
 
 
 def test_oracle_sweep_agrees_and_ignores_free_pins():
-    for name in ("g1", "g3"):
+    for name in ("g1", "g2", "g3", "g4"):
         s = system(name)
         pinned_1 = sweep_oracle(s, pin=1)
         pinned_0 = sweep_oracle(s, pin=0)
         assert np.array_equal(pinned_1, pinned_0), name
         assert np.array_equal(pinned_1, sweep_equations(s)), name
+
+
+def _small_system(n_active, seed):
+    """A hand-built system over n_active + 2 variables, two of them inactive.
+
+    Each active variable occurs in an equation of one or two monomials, one
+    monomial is forced to zero, and the oracle tables mix active and
+    inactive factors with a void term.
+    """
+    pick = random.Random(seed)
+    active = sorted(pick.sample(range(n_active + 2), n_active))
+    inactive = [v for v in range(n_active + 2) if v not in active]
+
+    def mono(u, v):
+        return (u, v) if u <= v else (v, u)
+
+    equations = [Equation(monomials=tuple(sorted({mono(v, pick.choice(active)),
+                                                  mono(*pick.choices(active, k=2))})),
+                          rhs_zero=False, triple=(), pivot_coords=(), rank=0)
+                 for v in active]
+    if active:
+        equations.append(Equation(monomials=(mono(*pick.choices(active, k=2)),),
+                                  rhs_zero=True, triple=(), pivot_coords=(), rank=0))
+    everyone = active + inactive
+    tables = [_ComboTable(triple=(), factor_vars=(
+                  mono(*pick.choices(everyone, k=2)),
+                  None if k == 0 else mono(pick.choice(inactive), pick.choice(everyone)),
+                  mono(*pick.choices(everyone, k=2))),
+                  allowed=pick.getrandbits(8) | pick.getrandbits(8) | 1)
+              for k in range(3)]
+    tables.append(_ComboTable(triple=(), factor_vars=(None, None, None), allowed=0xFF))
+    variables = [(v, v) for v in range(n_active + 2)]
+    s = ContractionSystem(None, variables, equations, tuple(tables))
+    assert list(s.active) == active
+    return s
+
+
+def _brute_force(s, holds):
+    masks = []
+    for bits in itertools.product((0, 1), repeat=len(s.active)):
+        value = dict(zip(s.active, bits))
+        if holds(value):
+            masks.append(sum(bit << v for v, bit in value.items()))
+    return np.array(sorted(masks), dtype=np.uint64)
+
+
+def test_sweeps_of_systems_smaller_than_two_words_match_brute_force():
+    for n_active in range(9):  # below 64 assignments, one word, two and four
+        for seed in range(4):
+            s = _small_system(n_active, seed)
+
+            def equations_hold(value):
+                for eq in s.equations:
+                    vals = {value[u] & value[v] for u, v in eq.monomials}
+                    if eq.rhs_zero and vals != {0} or len(vals) > 1:
+                        return False
+                return True
+
+            by_equations = _brute_force(s, equations_hold)
+            assert np.array_equal(sweep_equations(s), by_equations), (n_active, seed)
+            for pin in (0, 1):
+                def tables_hold(value):
+                    full = {v: value.get(v, pin) for v in range(s.num_variables)}
+                    for ct in s._combo_tables:
+                        code = sum((full[m[0]] & full[m[1]]) << slot
+                                   for slot, m in enumerate(ct.factor_vars)
+                                   if m is not None)
+                        if not (ct.allowed >> code) & 1:
+                            return False
+                    return True
+
+                assert np.array_equal(sweep_oracle(s, pin=pin),
+                                      _brute_force(s, tables_hold)), (n_active, seed, pin)
+
+
+def test_variable_permutation_matches_a_per_bit_reference():
+    def reference(masks, varperm):
+        out = np.zeros(masks.shape, dtype=np.uint64)
+        for src, dst in enumerate(varperm):
+            out |= ((masks >> np.uint64(src)) & np.uint64(1)) << np.uint64(dst)
+        return out
+
+    draw = np.random.default_rng(61909)
+    size = 150_000  # more than two blocks of the byte-table push
+    for name in ("g1", "g2", "g3", "g4"):
+        s = system(name)
+        masks = draw.integers(0, 1 << s.num_variables, size=size, dtype=np.uint64)
+        for p in quotient(name).elements:
+            vp = pair_variable_permutation(p, s)
+            assert np.array_equal(apply_variable_permutation(masks, vp),
+                                  reference(masks, vp)), (name, p)
+        # the injective scatter of the sweeps: compact bit pos -> active[pos]
+        compact = draw.integers(0, 1 << len(s.active), size=size, dtype=np.uint64)
+        assert np.array_equal(apply_variable_permutation(compact, s.active),
+                              reference(compact, s.active)), name
+    empty = np.zeros(0, dtype=np.uint64)
+    assert apply_variable_permutation(empty, system("g4").active).shape == (0,)
 
 
 def test_direct_jacobi_spot_checks():
