@@ -161,12 +161,16 @@ def eigenspaces(f: Automorphism, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[Cyc
         raise InfiniteOrderError(
             f"order exceeds cap {cap}; pass finite-order separating generators")
     dim = f.algebra.dim
-    ident = Matrix.identity(dim)
+    action = f.action
     found = []
     total = 0
     for k in range(m):
         lam = zeta(m, k)
-        kern = (f.action - ident.scale(lam)).kernel()
+        # f - lam: only the diagonal moves
+        entries = list(action.entries)
+        for i in range(0, dim * dim, dim + 1):
+            entries[i] = entries[i] - lam
+        kern = Matrix(dim, dim, entries).kernel()
         if kern.dim:
             found.append((lam, kern))
             total += kern.dim

@@ -206,7 +206,6 @@ def generate_equations(g: Grading) -> ContractionSystem:
     var_index = {p: i for i, p in enumerate(variables)}
 
     vectors, part_of, names = _adapted_basis(g)
-    dim = algebra.dim
 
     def term(li, lj, lk, t_vec):
         """Monomial of eps_{ij} eps_{i+j,k}, or None if its T vector is void."""
@@ -238,7 +237,7 @@ def generate_equations(g: Grading) -> ContractionSystem:
         combo_tables.append(_ComboTable(
             triple=(names[a], names[b], names[c]),
             factor_vars=tuple(mono for mono, _ in terms),
-            allowed=_allowed_mask(t1, t2, t3, dim)))
+            allowed=_allowed_mask((t1, t2, t3))))
 
         merged: dict = {}
         for mono, t_vec in terms:
@@ -266,12 +265,17 @@ def generate_equations(g: Grading) -> ContractionSystem:
     return ContractionSystem(g, variables, equations, tuple(combo_tables))
 
 
-def _allowed_mask(t1, t2, t3, dim: int) -> int:
+def _allowed_mask(terms) -> int:
+    """Bit `code` is set when the T vectors that `code` picks sum to zero."""
+    nonzero = [not vec_is_zero(t) for t in terms]
     mask = 0
     for code in range(8):
-        m1, m2, m3 = code & 1, (code >> 1) & 1, (code >> 2) & 1
-        residual = [m1 * t1[r] + m2 * t2[r] + m3 * t3[r] for r in range(dim)]
-        if vec_is_zero(residual):
+        picked = [t for i, t in enumerate(terms) if code >> i & 1 and nonzero[i]]
+        if len(picked) < 2:
+            zero = not picked
+        else:
+            zero = vec_is_zero([sum(column[1:], column[0]) for column in zip(*picked)])
+        if zero:
             mask |= 1 << code
     return mask
 

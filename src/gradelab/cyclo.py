@@ -87,7 +87,7 @@ class CycloNumber:
 
     def __init__(self, order: int, coeffs) -> None:
         phi = euler_phi(order)
-        vec = [Fraction(c) for c in coeffs]
+        vec = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(vec) > phi:
             tup = _reduce(vec, order)
         else:
@@ -104,8 +104,9 @@ class CycloNumber:
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycloNumber":
-        out = [Fraction(value)] + [_ZERO] * (euler_phi(order) - 1)
-        return cls(order, out)
+        if type(value) is int and value in (0, 1):
+            return _constant(value, order)
+        return _make(order, (Fraction(value),) + (_ZERO,) * (euler_phi(order) - 1))
 
     @classmethod
     def zero(cls, order: int = 1) -> "CycloNumber":
@@ -118,10 +119,10 @@ class CycloNumber:
     # --- basic predicates ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -136,12 +137,14 @@ class CycloNumber:
             return self
         if target_order % self.order:
             raise ValueError(f"cannot embed order {self.order} into {target_order}")
+        if not any(self.coeffs):
+            return _constant(0, target_order)
         step = target_order // self.order
         out = [_ZERO] * (len(self.coeffs) * step)
         for k, c in enumerate(self.coeffs):
             if c:
                 out[k * step] = c
-        return CycloNumber(target_order, _reduce(out, target_order))
+        return _make(target_order, _reduce(out, target_order))
 
     def reduce_order(self, target_order: int) -> "CycloNumber":
         """Rewrite in Q(zeta_M) for M | N; ValueError if the value is not in that subfield."""
@@ -165,7 +168,10 @@ class CycloNumber:
         return _canonical_form(self.order, self.coeffs)[0]
 
     def _coerce(self, other):
-        if isinstance(other, CycloNumber):
+        if type(other) is CycloNumber:
+            if other.order == self.order:
+                return self, other
+        elif isinstance(other, CycloNumber):
             pass
         elif isinstance(other, (int, Fraction)):
             other = CycloNumber.from_rational(other)
@@ -178,22 +184,27 @@ class CycloNumber:
 
     # --- arithmetic -----------------------------------------------------
 
+    # Zero coefficients are skipped rather than added: a Fraction sum costs
+    # a gcd, a truth test does not.
+
     def __add__(self, other):
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return CycloNumber(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return _make(a.order, tuple([(x + y if x else y) if y else x
+                                     for x, y in zip(a.coeffs, b.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.order, [-c for c in self.coeffs])
+        return _make(self.order, tuple([-c if c else c for c in self.coeffs]))
 
     def __sub__(self, other):
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return CycloNumber(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return _make(a.order, tuple([(x - y if x else -y) if y else x
+                                     for x, y in zip(a.coeffs, b.coeffs)]))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -202,21 +213,25 @@ class CycloNumber:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        if a.is_zero() or b.is_zero():
-            return CycloNumber.zero(a.order)
+        if len(a.coeffs) == 1:  # a rational field: orders 1 and 2
+            return _make(a.order, (a.coeffs[0] * b.coeffs[0],))
+        xs = [(i, x) for i, x in enumerate(a.coeffs) if x]
+        ys = [(j, y) for j, y in enumerate(b.coeffs) if y]
+        if not xs or not ys:
+            return _constant(0, a.order)
         out = [_ZERO] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return CycloNumber(a.order, _reduce(out, a.order))
+        for i, x in xs:
+            for j, y in ys:
+                out[i + j] += x * y
+        return _make(a.order, _reduce(out, a.order))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        if not any(self.coeffs[1:]):
+            return _make(self.order, (1 / self.coeffs[0],) + self.coeffs[1:])
         phi_poly = tuple(Fraction(c) for c in cyclotomic_polynomial(self.order))
         # extended Euclid on (self, Phi_N); gcd is a nonzero constant
         r0, r1 = list(self.coeffs), list(phi_poly)
@@ -227,7 +242,7 @@ class CycloNumber:
             s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
         const = next(c for c in r0 if c)  # r0 is the constant gcd
         inv = [c / const for c in s0]
-        return CycloNumber(self.order, _reduce(inv, self.order))
+        return _make(self.order, _reduce(inv, self.order))
 
     def __truediv__(self, other):
         a, b = self._coerce(other)
@@ -329,6 +344,21 @@ class CycloNumber:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
+
+
+def _make(order: int, coeffs: tuple) -> CycloNumber:
+    """A CycloNumber from a reduced tuple of phi(order) Fractions, taken as is."""
+    x = object.__new__(CycloNumber)
+    object.__setattr__(x, "order", order)
+    object.__setattr__(x, "coeffs", coeffs)
+    object.__setattr__(x, "_hash", None)
+    return x
+
+
+@lru_cache(maxsize=None)
+def _constant(value: int, order: int) -> CycloNumber:
+    """The shared 0 or 1 of Q(zeta_order)."""
+    return _make(order, (Fraction(value),) + (_ZERO,) * (euler_phi(order) - 1))
 
 
 def zeta(order: int, power: int = 1) -> CycloNumber:

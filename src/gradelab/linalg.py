@@ -30,7 +30,7 @@ class Matrix:
         order = 1
         for e in flat:
             order = lcm(order, e.order)
-        flat = [e.embed(order) for e in flat]
+        flat = [e if e.order == order else e.embed(order) for e in flat]
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(flat))
@@ -156,11 +156,12 @@ class Matrix:
             if pivot != r:
                 work[r], work[pivot] = work[pivot], work[r]
             inv = work[r][col].inverse()
-            work[r] = [v * inv for v in work[r]]
+            work[r] = [v if v.is_zero() else v * inv for v in work[r]]
             for i in range(self.rows):
                 if i != r and not work[i][col].is_zero():
                     f = work[i][col]
-                    work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+                    work[i] = [v if w.is_zero() else v - f * w
+                               for v, w in zip(work[i], work[r])]
             pivots.append(col)
             r += 1
             if r == self.rows:

@@ -65,6 +65,39 @@ def test_inverse_round_trip():
         checked += 1
 
 
+def _schoolbook(order, a, b, op):
+    """op on two coefficient vectors as polynomials, reduced by the constructor."""
+    if op == "mul":
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    else:
+        out = [x + y if op == "add" else x - y for x, y in zip(a, b)]
+    return CycloNumber(order, out)
+
+
+def test_arithmetic_matches_schoolbook_polynomials():
+    # Sparse values, rationals and zeros take the shortcuts that skip zero
+    # coefficients; results must keep the canonical tuple of phi Fractions.
+    for order in ORDERS:
+        values = [CycloNumber.zero(order), CycloNumber.one(order),
+                  CycloNumber.from_rational(Fraction(-3, 7), order), zeta(order, 1)]
+        values += [rand_cyclo(order) for _ in range(8)]
+        for a in values:
+            for b in values:
+                for op, got in (("add", a + b), ("sub", a - b), ("mul", a * b)):
+                    want = _schoolbook(order, a.coeffs, b.coeffs, op)
+                    assert got.order == order and got.coeffs == want.coeffs, (a, b, op)
+                    assert len(got.coeffs) == euler_phi(order)
+                    assert all(type(c) is Fraction for c in got.coeffs)
+            assert (-a).coeffs == tuple(-c for c in a.coeffs)
+            if not a.is_zero():
+                assert a * a.inverse() == CycloNumber.one(order)
+        assert CycloNumber.from_rational(4, order).inverse().coeffs == \
+            (Fraction(1, 4),) + (Fraction(0),) * (euler_phi(order) - 1)
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         CycloNumber.zero(5).inverse()
