@@ -491,13 +491,19 @@ class SolutionSet:
     def __contains__(self, eps: EpsilonAssignment) -> bool:
         return self.contains_mask(self.system.assignment_to_mask(eps))
 
-    def masks(self, limit: int | None = None):
-        """Full solution masks, lazily: each active pattern in turn, combined
-        with the free bits in binary counting order (first free bit lowest)."""
+    def free_cube(self) -> np.ndarray:
+        """Every free-bit pattern, in binary counting order (first free bit
+        lowest); [0] when no variable is free."""
         cube = [0]
         for f in self.system.free:
             cube += [bits | 1 << f for bits in cube]
-        full = (int(base) | bits for base in self.active_masks for bits in cube)
+        return np.array(cube, dtype=np.uint64)
+
+    def masks(self, limit: int | None = None):
+        """Full solution masks, lazily, as Python ints: each active pattern in
+        turn (row-major), combined with every pattern of `free_cube`."""
+        cube = self.free_cube().tolist()
+        full = (base | bits for base in self.active_masks.tolist() for bits in cube)
         return itertools.islice(full, limit)
 
     def assignments(self, limit: int | None = None):
@@ -744,22 +750,40 @@ def apply_variable_permutation(masks: np.ndarray, varperm) -> np.ndarray:
     return out.reshape(masks.shape)
 
 
-def _least_images(masks: np.ndarray, varperms) -> np.ndarray | None:
-    """Least image of each sorted mask over all the variable permutations.
+def _pushed_product(rows: np.ndarray, cube: np.ndarray, varperm) -> np.ndarray:
+    """The push of the product set rows x cube, in `SolutionSet.masks` order.
 
-    Returns None as soon as an image falls outside `masks`.  When the
-    permutations are the whole of a group, the least image of a mask is the
-    least mask of its orbit.
+    A bit permutation distributes over OR, so pushing each factor and
+    OR-ing them (row-major) equals pushing every product mask in turn.
     """
-    least = masks
-    last = masks.shape[0] - 1
+    pushed_rows = apply_variable_permutation(rows, varperm)
+    pushed_cube = apply_variable_permutation(cube, varperm)
+    return (pushed_rows[:, None] | pushed_cube[None, :]).ravel()
+
+
+def _least_images(reference: np.ndarray, rows: np.ndarray, cube: np.ndarray,
+                  varperms) -> np.ndarray | None:
+    """Least image of each mask of rows x cube over all the variable permutations.
+
+    `reference` is the product set rows x cube, sorted; the result is in
+    `SolutionSet.masks` order.  Each permutation pushes the two factors and
+    ORs them (`_pushed_product`); the whole image, sorted, must equal
+    `reference` (a permutation of bits is injective, so that is membership
+    of every image mask), or None is returned.  When the permutations are
+    the whole of a group, the least image of a mask is the least mask of its
+    orbit.  For the constrained patterns alone, `cube` is [0].
+    """
+    least = np.full(rows.shape[0] * cube.shape[0], _ALL_ONES)
     for vp in varperms:
-        moved = apply_variable_permutation(masks, vp)
-        idx = np.minimum(np.searchsorted(masks, moved), last)
-        if np.any(masks[idx] != moved):
+        image = _pushed_product(rows, cube, vp)
+        np.minimum(least, image, out=least)
+        image.sort()
+        if not np.array_equal(image, reference):
             return None
-        least = np.minimum(least, moved)
     return least
+
+
+_NO_FREE_BITS = np.zeros(1, dtype=np.uint64)
 
 
 def is_invariant(solutions: SolutionSet, quotient: PermutationGroup) -> bool:
@@ -774,7 +798,8 @@ def is_invariant(solutions: SolutionSet, quotient: PermutationGroup) -> bool:
     varperms = [pair_variable_permutation(p, system) for p in quotient.elements]
     if any(vp[f] not in free for vp in varperms for f in free):
         return False
-    return _least_images(solutions.active_masks, varperms) is not None
+    rows = solutions.active_masks
+    return _least_images(rows, rows, _NO_FREE_BITS, varperms) is not None
 
 
 @dataclass(frozen=True)
@@ -789,26 +814,70 @@ def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
 
     `quotient.elements` must be a whole group (closed under composition):
     each orbit is then labeled by the least image of any of its members in
-    one pass over the elements.  Returns Orbit records sorted by
-    representative mask; raises ValueError if an image leaves the set.
-    With include_free the whole product set is materialized (sets beyond
-    MATERIALIZE_CAP are refused to keep memory bounded); without it the
-    orbits are those of the constrained patterns alone, i.e. solutions with
-    every unconstrained pair switched off, a subset closed under the action.
+    one pass over the elements (`_least_images`), which pushes the constrained
+    patterns and the free-bit cube as two factors.  Returns Orbit records
+    sorted by representative mask; raises ValueError if an image leaves the
+    set.  With include_free the orbits are those of the whole product set,
+    which is materialized (`SolutionSet.masks`) and sorted as the reference
+    every image is compared with; sets beyond MATERIALIZE_CAP are refused
+    to keep memory bounded.  Without it the orbits are those of the
+    constrained patterns alone, i.e. solutions with every unconstrained pair
+    switched off, a subset closed under the action.
     """
     system = solutions.system
+    rows = solutions.active_masks
     if include_free:
         total = len(solutions)
         if total > MATERIALIZE_CAP:
             raise ValueError(
                 f"solution set of size {total} exceeds the materialization cap "
                 f"{MATERIALIZE_CAP}; pass include_free=False")
-        masks = np.sort(np.fromiter(solutions.masks(), dtype=np.uint64, count=total))
+        reference = np.fromiter(solutions.masks(), dtype=np.uint64, count=total)
+        reference.sort()
+        cube = solutions.free_cube()
     else:
-        masks = solutions.active_masks
-    least = _least_images(masks, [pair_variable_permutation(p, system)
-                                  for p in quotient.elements])
+        reference, cube = rows, _NO_FREE_BITS
+    least = _least_images(reference, rows, cube,
+                          [pair_variable_permutation(p, system)
+                           for p in quotient.elements])
+    del reference  # 16 MiB on g1: free it before np.unique sorts a copy of least
     if least is None:
         raise ValueError("solution set is not invariant under the quotient")
     reps, counts = np.unique(least, return_counts=True)
-    return [Orbit(int(r), int(c)) for r, c in zip(reps, counts)]
+    return [Orbit(r, c) for r, c in zip(reps.tolist(), counts.tolist())]
+
+
+def burnside_orbit_count(solutions: SolutionSet, quotient: PermutationGroup) -> int:
+    """Number of orbits of the quotient on the whole solution set, by Burnside.
+
+    An element fixes a full solution when it fixes its constrained pattern
+    and its free bits; it fixes a free-bit pattern when the pattern is
+    constant on each of its cycles on the free variables.  So each element
+    contributes its fixed constrained patterns times 2^(its cycles on the
+    free variables), and the orbit count is the sum over the group divided
+    by the order.  Nothing is materialized.  The set must be invariant
+    (`is_invariant`); raises ValueError if an element moves a free variable
+    to a constrained one or the sum is not divisible by the order.
+    """
+    system = solutions.system
+    free = set(system.free)
+    rows = solutions.active_masks
+    total = 0
+    for p in quotient.elements:
+        vp = pair_variable_permutation(p, system)
+        cycles, seen = 0, set()
+        for f in system.free:
+            if f in seen:
+                continue
+            cycles += 1
+            while f not in seen:
+                if f not in free:
+                    raise ValueError("a symmetry moves a free variable to a constrained one")
+                seen.add(f)
+                f = vp[f]
+        fixed = int(np.count_nonzero(apply_variable_permutation(rows, vp) == rows))
+        total += fixed << cycles
+    if total % quotient.order:
+        raise ValueError(f"Burnside sum {total} is not divisible by the group "
+                         f"order {quotient.order}")
+    return total // quotient.order

@@ -367,7 +367,8 @@ def check_7(bench: _Workbench) -> CheckResult:
 
 
 def check_8(bench: _Workbench) -> CheckResult:
-    """Solution sets are invariant under the quotient action."""
+    """Solution sets are invariant under the quotient action; orbit counts
+    agree with Burnside's lemma."""
     t0 = time.time()
     rng = random.Random(SEED + 8)
     details = []
@@ -409,9 +410,20 @@ def check_8(bench: _Workbench) -> CheckResult:
             return CheckResult(8, "solution symmetry invariance", False,
                                f"{name}: orbit size {bad[0].size} does not "
                                f"divide {q.order}", time.time() - t0)
+        # Burnside counts the full-set orbits without materializing them: a
+        # second route where the orbits are listed, the only one beyond the cap
+        try:
+            burnside = con.burnside_orbit_count(solved, q)
+        except ValueError as exc:
+            return CheckResult(8, "solution symmetry invariance", False,
+                               f"{name}: {exc}", time.time() - t0)
+        if include_free and burnside != len(orbits):
+            return CheckResult(8, "solution symmetry invariance", False,
+                               f"{name}: Burnside counts {burnside} orbits, "
+                               f"not {len(orbits)}", time.time() - t0)
         scope = "all" if include_free else "constrained-pattern"
         details.append(f"{name}: {len(orbits)} orbits of {total} {scope} "
-                       "solutions")
+                       f"solutions, {burnside} full-set orbits by Burnside")
     return CheckResult(8, "solution symmetry invariance", True,
                        "; ".join(details), time.time() - t0)
 

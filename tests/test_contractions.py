@@ -9,8 +9,8 @@ from gradelab import selfcheck
 from gradelab.contractions import (ContractionSystem, EpsilonAssignment,
                                    Equation, NodeCapExceeded,
                                    SolutionSet, _ComboTable,
-                                   apply_variable_permutation,
-                                   contracted_structure, generate_equations,
+                                   _pushed_product, apply_variable_permutation,
+                                   burnside_orbit_count, contracted_structure, generate_equations,
                                    is_invariant, jacobi_oracle, pair_key,
                                    pair_variable_permutation, solve_binary,
                                    sweep_equations, sweep_oracle,
@@ -350,6 +350,32 @@ def test_full_orbit_count_for_the_orthogonal_grading():
                              include_free=True)
     assert len(orbits) == 5350
     assert sum(o.size for o in orbits) == len(solutions("g2"))
+
+
+def test_full_orbit_count_for_the_cartan_grading():
+    orbits = symmetry_orbits(solutions("g1"), quotient("g1"),
+                             include_free=True)
+    assert len(orbits) == 179_664
+    assert sum(o.size for o in orbits) == len(solutions("g1"))
+    assert all(quotient("g1").order % o.size == 0 for o in orbits)
+
+
+def test_burnside_counts_the_full_set_orbits():
+    expected = {"g1": 179_664, "g2": 5_350, "g3": 17_282_816, "g4": 589_082}
+    for name, count in expected.items():
+        assert burnside_orbit_count(solutions(name), quotient(name)) == count, name
+
+
+def test_factored_images_equal_the_push_of_the_materialized_set():
+    for name in ("g1", "g2"):
+        solved, s = solutions(name), system(name)
+        materialized = np.fromiter(solved.masks(), dtype=np.uint64,
+                                   count=len(solved))
+        for p in quotient(name).elements:
+            vp = pair_variable_permutation(p, s)
+            assert np.array_equal(
+                _pushed_product(solved.active_masks, solved.free_cube(), vp),
+                apply_variable_permutation(materialized, vp)), (name, p)
 
 
 def test_oversized_full_orbit_request_is_refused():
