@@ -69,11 +69,21 @@ _MALFORMED = (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
 # largest group order `grading label` accepts: the search lists every element
 MAX_LABEL_GROUP_ORDER = 1 << 16
 
+# largest n of sl(n) a grading or automorphism file may name: building the
+# algebra's bracket table grows like n^6 (about 1 s of CPU for sl(8))
+MAX_ALGEBRA_N = 8
+
 
 def _malformed(what: str, path: str, exc: Exception) -> ValueError:
     reason = (f"missing key {exc}" if isinstance(exc, KeyError)
               else f"{type(exc).__name__}: {exc}")
     return ValueError(f"malformed {what} in {path!r}: {reason}")
+
+
+def _check_algebra_size(n: int, what: str, path: str) -> None:
+    if n > MAX_ALGEBRA_N:
+        raise ValueError(f"{what} in {path!r} is over sl({n}), above the limit "
+                         f"of sl({MAX_ALGEBRA_N})")
 
 
 def _read_input(path: str) -> bytes:
@@ -96,7 +106,9 @@ def _load_automorphism(spec_text: str) -> Automorphism:
             f"{', '.join(sorted(NAMED_AUTOMORPHISMS))}, and not a readable "
             f"file ({exc.strerror})") from None
     try:
-        return Automorphism.from_json(json.loads(raw))
+        data = json.loads(raw)
+        _check_algebra_size(int(data["rep"]["rows"]), "automorphism", spec_text)
+        return Automorphism.from_json(data)
     except _MALFORMED as exc:
         raise _malformed("automorphism", spec_text, exc) from None
 
@@ -129,6 +141,7 @@ def _load_grading(path: str):
         data = json.loads(raw.decode("utf-8"))
         if "grading" in data and "parts" not in data:
             data = data["grading"]
+        _check_algebra_size(int(data["n"]), "grading", path)
         algebra = special_linear(int(data["n"]))
         parts_json = []
         for part in data["parts"]:

@@ -1,10 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A value is stored as a vector of rational coefficients over the power basis
-1, z, ..., z^(phi(N)-1) of Q(zeta_N), reduced eagerly modulo the N-th
-cyclotomic polynomial.  Representation is canonical: a value is zero iff all
-coefficients are zero, and two values of the same order are equal iff their
-coefficient vectors are equal.
+A value is stored as integer numerators over one common denominator: its
+coordinates over the power basis 1, z, ..., z^(phi(N)-1) of Q(zeta_N) are
+nums[k] / den, reduced eagerly modulo the N-th cyclotomic polynomial, which
+is monic with integer coefficients, so arithmetic never leaves the integers.
+Representation is canonical: den > 0 and gcd(den, *nums) == 1, so a value is
+zero iff all numerators are zero (and then den == 1), and two values of the
+same order are equal iff their numerators and denominators are equal.
+`coeffs` gives the same coordinates as a tuple of Fractions.
 """
 from __future__ import annotations
 
@@ -13,8 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# Canonical forms (conductor and coordinates there) kept for reuse; a bound
+# far above what a run meets (a few hundred distinct values), so it costs no
+# hits, while a long session cannot grow it without limit.
+CANONICAL_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=None)
@@ -64,41 +69,74 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return num
 
 
-def _reduce(coeffs: list[Fraction], order: int) -> tuple[Fraction, ...]:
-    """Remainder of the polynomial modulo Phi_order, padded to length phi(order)."""
+@lru_cache(maxsize=None)
+def _powers(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """z^e modulo Phi_order for e in range(order), each as its nonzero (k, c) terms.
+
+    Phi_order divides x^order - 1, so z^e is entry e % order for every e.
+    """
     phi_poly = cyclotomic_polynomial(order)
-    deg = len(phi_poly) - 1
-    work = list(coeffs)
-    for k in range(len(work) - 1, deg - 1, -1):
-        c = work[k]
+    phi = len(phi_poly) - 1
+    vec = [1] + [0] * (phi - 1)
+    out = []
+    for _ in range(order):
+        out.append(tuple((k, c) for k, c in enumerate(vec) if c))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            for j in range(phi):
+                vec[j] -= top * phi_poly[j]
+    return tuple(out)
+
+
+def _fold(terms: list[int], order: int) -> list[int]:
+    """An integer polynomial (index = degree) modulo Phi_order, as phi(order) ints."""
+    phi = euler_phi(order)
+    if len(terms) <= phi:
+        return terms + [0] * (phi - len(terms))
+    powers = _powers(order)
+    out = terms[:phi]
+    for e in range(phi, len(terms)):
+        c = terms[e]
         if c:
-            work[k] = _ZERO
-            for j in range(deg):
-                work[k - deg + j] -= c * phi_poly[j]
-    work = work[:deg]
-    work.extend([_ZERO] * (deg - len(work)))
-    return tuple(work)
+            for k, v in powers[e % order]:
+                out[k] += c * v
+    return out
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of a rational, in lowest terms."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 class CycloNumber:
-    """An element of Q(zeta_order) in reduced power-basis form."""
+    """An element of Q(zeta_order): integer numerators `nums` over `den`, reduced."""
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "nums", "den", "_hash")
 
     def __init__(self, order: int, coeffs) -> None:
-        phi = euler_phi(order)
-        vec = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(vec) > phi:
-            tup = _reduce(vec, order)
-        else:
-            vec.extend([_ZERO] * (phi - len(vec)))
-            tup = tuple(vec)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tup)
-        object.__setattr__(self, "_hash", None)
+        """The value sum coeffs[k] z^k for any rationals, reduced modulo Phi_order."""
+        pairs = [_ratio(c) for c in coeffs]
+        den = lcm(*[d for _, d in pairs])
+        nums = _fold([n * (den // d) for n, d in pairs], order)
+        g = gcd(den, *nums)
+        _set_order(self, order)
+        _set_nums(self, tuple([a // g for a in nums]))
+        _set_den(self, den // g)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNumber is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple([Fraction(a, den) for a in self.nums])
 
     # --- constructors -------------------------------------------------
 
@@ -106,7 +144,8 @@ class CycloNumber:
     def from_rational(cls, value, order: int = 1) -> "CycloNumber":
         if type(value) is int and value in (0, 1):
             return _constant(value, order)
-        return _make(order, (Fraction(value),) + (_ZERO,) * (euler_phi(order) - 1))
+        num, den = _ratio(value)
+        return _exact(order, (num,) + (0,) * (euler_phi(order) - 1), den)
 
     @classmethod
     def zero(cls, order: int = 1) -> "CycloNumber":
@@ -119,15 +158,15 @@ class CycloNumber:
     # --- basic predicates ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # --- order handling -------------------------------------------------
 
@@ -137,14 +176,16 @@ class CycloNumber:
             return self
         if target_order % self.order:
             raise ValueError(f"cannot embed order {self.order} into {target_order}")
-        if not any(self.coeffs):
+        if not any(self.nums):
             return _constant(0, target_order)
         step = target_order // self.order
-        out = [_ZERO] * (len(self.coeffs) * step)
-        for k, c in enumerate(self.coeffs):
+        powers = _powers(target_order)
+        out = [0] * euler_phi(target_order)
+        for k, c in enumerate(self.nums):
             if c:
-                out[k * step] = c
-        return _make(target_order, _reduce(out, target_order))
+                for j, v in powers[k * step]:
+                    out[j] += c * v
+        return _lowest(target_order, out, self.den)
 
     def reduce_order(self, target_order: int) -> "CycloNumber":
         """Rewrite in Q(zeta_M) for M | N; ValueError if the value is not in that subfield."""
@@ -152,20 +193,20 @@ class CycloNumber:
             return self
         if self.order % target_order:
             raise ValueError(f"{target_order} does not divide order {self.order}")
-        coeffs = _descend(self.order, target_order, self.coeffs)
-        if coeffs is None:
+        lower = _descend(self.order, target_order, self.nums, self.den)
+        if lower is None:
             raise ValueError(f"value does not lie in Q(zeta_{target_order})")
-        return CycloNumber(target_order, coeffs)
+        return _exact(target_order, *lower)
 
     def reduced(self) -> "CycloNumber":
         """Equal value rewritten at its conductor (smallest possible order)."""
-        order, coeffs = _canonical_form(self.order, self.coeffs)
+        order, nums, den = _canonical_form(self.order, self.nums, self.den)
         if order == self.order:
             return self
-        return CycloNumber(order, coeffs)
+        return _exact(order, nums, den)
 
     def conductor(self) -> int:
-        return _canonical_form(self.order, self.coeffs)[0]
+        return _canonical_form(self.order, self.nums, self.den)[0]
 
     def _coerce(self, other):
         if type(other) is CycloNumber:
@@ -184,27 +225,32 @@ class CycloNumber:
 
     # --- arithmetic -----------------------------------------------------
 
-    # Zero coefficients are skipped rather than added: a Fraction sum costs
-    # a gcd, a truth test does not.
-
     def __add__(self, other):
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return _make(a.order, tuple([(x + y if x else y) if y else x
-                                     for x, y in zip(a.coeffs, b.coeffs)]))
+        da, db = a.den, b.den
+        if da == db:
+            return _lowest(a.order, [x + y for x, y in zip(a.nums, b.nums)], da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return _lowest(a.order, [x * ma + y * mb for x, y in zip(a.nums, b.nums)], da * ma)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.order, tuple([-c if c else c for c in self.coeffs]))
+        return _exact(self.order, tuple([-x for x in self.nums]), self.den)
 
     def __sub__(self, other):
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return _make(a.order, tuple([(x - y if x else -y) if y else x
-                                     for x, y in zip(a.coeffs, b.coeffs)]))
+        da, db = a.den, b.den
+        if da == db:
+            return _lowest(a.order, [x - y for x, y in zip(a.nums, b.nums)], da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return _lowest(a.order, [x * ma - y * mb for x, y in zip(a.nums, b.nums)], da * ma)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -213,36 +259,34 @@ class CycloNumber:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        if len(a.coeffs) == 1:  # a rational field: orders 1 and 2
-            return _make(a.order, (a.coeffs[0] * b.coeffs[0],))
-        xs = [(i, x) for i, x in enumerate(a.coeffs) if x]
-        ys = [(j, y) for j, y in enumerate(b.coeffs) if y]
+        an, bn = a.nums, b.nums
+        if len(an) == 1:  # a rational field: orders 1 and 2
+            return _lowest(a.order, [an[0] * bn[0]], a.den * b.den)
+        # Zero numerators are skipped: a truth test costs less than a product.
+        xs = [(i, x) for i, x in enumerate(an) if x]
+        ys = [(j, y) for j, y in enumerate(bn) if y]
         if not xs or not ys:
             return _constant(0, a.order)
-        out = [_ZERO] * (2 * len(a.coeffs) - 1)
+        out = [0] * (2 * len(an) - 1)
         for i, x in xs:
             for j, y in ys:
                 out[i + j] += x * y
-        return _make(a.order, _reduce(out, a.order))
+        return _lowest(a.order, _fold(out, a.order), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if not any(self.coeffs[1:]):
-            return _make(self.order, (1 / self.coeffs[0],) + self.coeffs[1:])
-        phi_poly = tuple(Fraction(c) for c in cyclotomic_polynomial(self.order))
-        # extended Euclid on (self, Phi_N); gcd is a nonzero constant
-        r0, r1 = list(self.coeffs), list(phi_poly)
-        s0, s1 = [_ONE], [_ZERO]
-        while any(r1):
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        const = next(c for c in r0 if c)  # r0 is the constant gcd
-        inv = [c / const for c in s0]
-        return _make(self.order, _reduce(inv, self.order))
+        order, nums, den = self.order, self.nums, self.den
+        if not any(nums[1:]):
+            c = nums[0]
+            return _exact(order, (den if c > 0 else -den,) + nums[1:], abs(c))
+        s, c = _bezout(nums, cyclotomic_polynomial(order))
+        # s * nums = c modulo Phi_order, so 1 / (nums / den) = den * s / c.
+        if c < 0:
+            den, c = -den, -c
+        return _lowest(order, _fold([den * x for x in s], order), c)
 
     def __truediv__(self, other):
         a, b = self._coerce(other)
@@ -270,14 +314,17 @@ class CycloNumber:
 
     def galois(self, t: int) -> "CycloNumber":
         """Apply the automorphism zeta -> zeta^t; requires gcd(t, order) = 1."""
-        t %= self.order
-        if self.order > 1 and gcd(t, self.order) != 1:
-            raise ValueError(f"galois exponent {t} not coprime to {self.order}")
-        out = [_ZERO] * self.order if self.order > 1 else [_ZERO]
-        for k, c in enumerate(self.coeffs):
+        n = self.order
+        t %= n
+        if n > 1 and gcd(t, n) != 1:
+            raise ValueError(f"galois exponent {t} not coprime to {n}")
+        powers = _powers(n)
+        out = [0] * len(self.nums)
+        for k, c in enumerate(self.nums):
             if c:
-                out[(k * t) % self.order] += c
-        return CycloNumber(self.order, _reduce(out, self.order))
+                for j, v in powers[k * t % n]:
+                    out[j] += c * v
+        return _lowest(n, out, self.den)
 
     def conjugate(self) -> "CycloNumber":
         """Complex conjugation: zeta_N -> zeta_N^(N-1)."""
@@ -289,13 +336,15 @@ class CycloNumber:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(_canonical_form(self.order, self.coeffs))
-            object.__setattr__(self, "_hash", h)
+            # The hash of (conductor, coordinates there as Fractions).
+            order, nums, den = _canonical_form(self.order, self.nums, self.den)
+            h = hash((order, tuple([Fraction(a, den) for a in nums])))
+            _set_hash(self, h)
         return h
 
     # --- conversions -------------------------------------------------------
@@ -304,21 +353,21 @@ class CycloNumber:
         """Floating-point value (for cross-checks only; never used in exact paths)."""
         z = cmath.exp(2j * cmath.pi / self.order)
         total = 0j
-        for k, c in enumerate(self.coeffs):
-            if c:
-                total += float(c) * z ** k
+        for k, a in enumerate(self.nums):
+            if a:
+                total += a / self.den * z ** k
         return total
 
     __complex__ = evaluate
 
     def to_json(self) -> dict:
-        terms = [[c.numerator, c.denominator, k] for k, c in enumerate(self.coeffs) if c]
+        terms = [[*_fraction(a, self.den), k] for k, a in enumerate(self.nums) if a]
         return {"order": self.order, "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "CycloNumber":
         order = int(data["order"])
-        coeffs = [_ZERO] * euler_phi(order)
+        coeffs = [0] * euler_phi(order)
         for num, den, exp in data["terms"]:
             coeffs[exp] = Fraction(num, den)
         return cls(order, coeffs)
@@ -346,145 +395,173 @@ class CycloNumber:
         return out
 
 
-def _make(order: int, coeffs: tuple) -> CycloNumber:
-    """A CycloNumber from a reduced tuple of phi(order) Fractions, taken as is."""
+# The slot setters, which get round the refusing __setattr__ at less cost
+# than object.__setattr__.
+_set_order, _set_nums, _set_den, _set_hash = \
+    (getattr(CycloNumber, name).__set__ for name in CycloNumber.__slots__)
+
+
+def _exact(order: int, nums: tuple, den: int) -> CycloNumber:
+    """A CycloNumber from phi(order) reduced numerators already in lowest terms over den."""
     x = object.__new__(CycloNumber)
-    object.__setattr__(x, "order", order)
-    object.__setattr__(x, "coeffs", coeffs)
-    object.__setattr__(x, "_hash", None)
+    _set_order(x, order)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    _set_hash(x, None)
     return x
+
+
+def _lowest(order: int, nums: list, den: int) -> CycloNumber:
+    """A CycloNumber from phi(order) reduced numerators over den > 0, put in lowest terms."""
+    g = gcd(den, *nums)
+    if g != 1:
+        return _exact(order, tuple([a // g for a in nums]), den // g)
+    return _exact(order, tuple(nums), den)
+
+
+def _fraction(a: int, den: int) -> tuple[int, int]:
+    """(numerator, denominator) of a / den in lowest terms, as a Fraction has them."""
+    g = gcd(a, den)
+    return a // g, den // g
 
 
 @lru_cache(maxsize=None)
 def _constant(value: int, order: int) -> CycloNumber:
     """The shared 0 or 1 of Q(zeta_order)."""
-    return _make(order, (Fraction(value),) + (_ZERO,) * (euler_phi(order) - 1))
+    return _exact(order, (value,) + (0,) * (euler_phi(order) - 1), 1)
 
 
 def zeta(order: int, power: int = 1) -> CycloNumber:
     """The root of unity zeta_order^power."""
-    power %= order
-    coeffs = [_ZERO] * (power + 1)
-    coeffs[power] = _ONE
-    return CycloNumber(order, _reduce(coeffs, order))
+    nums = [0] * euler_phi(order)
+    for k, c in _powers(order)[power % order]:
+        nums[k] = c
+    return _exact(order, tuple(nums), 1)
 
 
-# --- rational-polynomial helpers (inverse) --------------------------------
+# --- integer-polynomial inverse ----------------------------------------------
 
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    while den and den[-1] == 0:
-        den = den[:-1]
-    num = list(num)
-    deg_d = len(den) - 1
-    lead = den[-1]
-    quot = [_ZERO] * max(1, len(num) - deg_d)
-    for k in range(len(num) - 1, deg_d - 1, -1):
-        c = num[k]
-        if c:
-            factor = c / lead
-            quot[k - deg_d] = factor
-            for j in range(deg_d + 1):
-                num[k - deg_d + j] -= factor * den[j]
-    rem = num[:deg_d] if deg_d > 0 else [_ZERO]
-    return quot, rem
+def _bezout(nums, modulus) -> tuple[list[int], int]:
+    """Integers s (a polynomial) and c != 0 with s * nums = c modulo `modulus`.
 
-
-def _frac_poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    Extended Euclid by pseudo-division on integer polynomials (index = degree),
+    keeping s_i * nums = r_i modulo `modulus` for each remainder r_i; each
+    step divides r_i and s_i by their common content.  `nums` must be nonzero
+    and coprime to `modulus`, so the last nonzero remainder is the constant c.
+    """
+    r0, s0 = list(modulus), []
+    r1, s1 = list(nums), [1]
+    while not r1[-1]:
+        r1.pop()
+    while len(r1) > 1:
+        lead = r1[-1]
+        while len(r0) >= len(r1):
+            top, shift = r0[-1], len(r0) - len(r1)
+            r0 = [lead * x for x in r0]
+            s0 = [lead * x for x in s0] + [0] * (len(s1) + shift - len(s0))
+            for j, y in enumerate(r1):
+                r0[shift + j] -= top * y
+            for j, y in enumerate(s1):
+                s0[shift + j] -= top * y
+            while r0 and not r0[-1]:
+                r0.pop()
+        g = gcd(*r0, *s0)
+        if g > 1:
+            r0 = [x // g for x in r0]
+            s0 = [x // g for x in s0]
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    return s1, r1[0]
 
 
 # --- subfield descent -------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _subfield_basis(order: int, sub_order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Coefficient vectors (at `order`) of the power basis of Q(zeta_sub_order)."""
-    cols = []
-    for k in range(euler_phi(sub_order)):
-        cols.append(zeta(sub_order, k).embed(order).coeffs)
-    return tuple(cols)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
 
 
-def _descend(order: int, sub_order: int, coeffs) -> tuple[Fraction, ...] | None:
-    """Solve for coefficients of the value in the power basis of Q(zeta_sub_order)."""
-    cols = _subfield_basis(order, sub_order)
-    n_rows = euler_phi(order)
-    n_cols = len(cols)
-    # Gaussian elimination on [cols | coeffs]
-    aug = [[cols[j][i] for j in range(n_cols)] + [coeffs[i]] for i in range(n_rows)]
+def _sparse(row) -> tuple[tuple[int, int], ...]:
+    return tuple((i, c) for i, c in enumerate(row) if c)
+
+
+@lru_cache(maxsize=None)
+def _subfield_solver(order: int, sub_order: int):
+    """The power basis of Q(zeta_sub_order) at `order`, eliminated once for every right side.
+
+    Integer Gauss-Jordan on [B | I], B the phi(order) x phi(sub_order) matrix
+    whose columns are the embedded basis powers, gives integer rows T with
+    T B in echelon form.  Returns (solve, scale, zero): the coordinates of a
+    value v = nums / den in the subfield basis are (solve_k . nums) / (scale *
+    den), and v lies in the subfield iff zero_r . nums == 0 for every r.  Each
+    row is sparse, as (index, coefficient) terms.
+    """
+    cols = [zeta(sub_order, k).embed(order).nums for k in range(euler_phi(sub_order))]
+    n_rows, n_cols = euler_phi(order), len(cols)
+    aug = [[col[i] for col in cols] + [int(i == k) for k in range(n_rows)] for i in range(n_rows)]
     pivots = []
     row = 0
     for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(row, n_rows) if aug[r][col]), None)
         if pivot is None:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
+        p = aug[row][col]
         for r in range(n_rows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[row])]
+            f = aug[r][col]
+            if r != row and f:
+                new = [p * v - f * w for v, w in zip(aug[r], aug[row])]
+                g = gcd(*new)
+                aug[r] = [v // g for v in new]
         pivots.append(col)
         row += 1
-    for r in range(row, n_rows):
-        if aug[r][n_cols] != 0:
+    if pivots != list(range(n_cols)):
+        raise ArithmeticError(f"power basis of Q(zeta_{sub_order}) is dependent at order {order}")
+    scale = lcm(*[abs(aug[k][k]) for k in range(n_cols)])
+    solve = tuple(_sparse([v * (scale // aug[k][k]) for v in aug[k][n_cols:]])
+                  for k in range(n_cols))
+    zero = tuple(_sparse(aug[r][n_cols:]) for r in range(n_cols, n_rows))
+    return solve, scale, zero
+
+
+def _descend(order: int, sub_order: int, nums, den: int) -> tuple[tuple[int, ...], int] | None:
+    """Numerators and denominator of the value in the power basis of Q(zeta_sub_order)."""
+    solve, scale, zero = _subfield_solver(order, sub_order)
+    for row in zero:
+        if sum([c * nums[i] for i, c in row]):
             return None  # inconsistent: value not in the subfield
-    solution = [_ZERO] * n_cols
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][n_cols]
-    return tuple(solution)
+    out = [sum([c * nums[i] for i, c in row]) for row in solve]
+    den *= scale
+    g = gcd(den, *out)
+    return tuple([a // g for a in out]), den // g
 
 
-_canonical_cache: dict = {}
-
-
-def _canonical_form(order: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
-    """(conductor, coefficients) of the value, found by greedy prime descent."""
-    key = (order, coeffs)
-    cached = _canonical_cache.get(key)
-    if cached is not None:
-        return cached
-    cur_order, cur = order, tuple(coeffs)
-    changed = True
-    while changed and cur_order > 1:
-        changed = False
-        m = cur_order
-        p = 2
-        primes = []
-        while p * p <= m:
-            if m % p == 0:
-                primes.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            primes.append(m)
-        for p in primes:
-            lower = _descend(cur_order, cur_order // p, cur)
+@lru_cache(maxsize=CANONICAL_CACHE_SIZE)
+def _canonical_form(order: int, nums: tuple, den: int) -> tuple[int, tuple[int, ...], int]:
+    """(conductor, numerators, denominator) of the value, found by greedy prime descent."""
+    descended = True
+    while descended and order > 1:
+        descended = False
+        for p in _prime_factors(order):
+            lower = _descend(order, order // p, nums, den)
             if lower is not None:
-                cur_order //= p
-                cur = lower
-                changed = True
+                order //= p
+                nums, den = lower
+                descended = True
                 break
-    result = (cur_order, cur)
-    _canonical_cache[key] = result
-    return result
+    return order, nums, den
 
 
 def sort_key(x: CycloNumber) -> tuple:
     """Deterministic total-order key (conductor first, then coefficients)."""
-    n, coeffs = _canonical_form(x.order, x.coeffs)
-    return (n, tuple((c.numerator, c.denominator) for c in coeffs))
+    n, nums, den = _canonical_form(x.order, x.nums, x.den)
+    return (n, tuple(_fraction(a, den) for a in nums))

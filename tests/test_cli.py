@@ -267,3 +267,19 @@ def test_bad_node_cap_is_a_one_line_usage_error(capsys, monkeypatch, value):
     assert captured.out == ""
     assert captured.err == \
         f"error: GRADELAB_NODE_CAP must be a positive integer, not {value!r}\n"
+
+
+def test_algebra_above_the_size_cap_is_a_one_line_usage_error(capsys, tmp_path):
+    n = 40
+    assert n > cli.MAX_ALGEBRA_N
+    grading = tmp_path / "sl40.json"
+    grading.write_text(json.dumps({"n": n, "parts": [{"basis": ["E12"]}]}))
+    one, zero = {"order": 1, "terms": [[1, 1, 0]]}, {"order": 1, "terms": []}
+    rep = {"rows": n, "cols": n,
+           "entries": [one if i == j else zero for i in range(n) for j in range(n)]}
+    automorphism = tmp_path / "rep40.json"
+    automorphism.write_text(json.dumps({"kind": "inner", "rep": rep}))
+    for argv in (["grading", "verify", "--input", str(grading)],
+                 ["normalizer", "check", "--catalog", "g4", "--auto", str(automorphism)]):
+        err = assert_one_line_usage_error(capsys, argv)
+        assert repr(argv[-1]) in err and "sl(40)" in err

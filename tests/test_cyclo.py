@@ -165,3 +165,41 @@ def test_json_round_trip():
 def test_repr_examples():
     assert repr(zeta(3)) == "z3"
     assert repr(CycloNumber.from_rational(Fraction(5, 3))) == "5/3"
+
+
+def test_canonical_form_cache_stays_within_its_bound():
+    from gradelab import cyclo
+    bound = cyclo.CANONICAL_CACHE_SIZE
+    cyclo._canonical_form.cache_clear()
+    # k + zeta_12^4 = k + zeta_3 has conductor 3; k + zeta_12 has conductor 12
+    values = [(k, CycloNumber.from_rational(k, 12) + zeta(12, 4)) for k in range(bound + 100)]
+    for k, x in values:
+        assert x.conductor() == 3
+    assert cyclo._canonical_form.cache_info().currsize <= bound
+    # the first values were evicted; their forms come out the same again
+    for k, x in values[:50] + values[-50:]:
+        assert x.conductor() == 3
+        assert sort_key(x) == (3, ((k, 1), (1, 1)))
+        assert hash(x) == hash(CycloNumber.from_rational(k, 3) + zeta(3))
+        assert (x + zeta(12)).conductor() == 12
+    assert cyclo._canonical_form.cache_info().currsize <= bound
+
+
+def test_arithmetic_on_integer_numerators_builds_no_fraction(monkeypatch):
+    values = [rand_cyclo(24) + zeta(24, k) for k in (1, 5, 7, 11)]
+    others = [rand_cyclo(8) + zeta(8), zeta(3) * Fraction(2, 3) - zeta(3, 2)]
+    assert not any(x.is_rational() for x in values + others)
+    created = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for _ in range(20):
+        for a in values:
+            for b in values + others:  # others are of orders 8 and 3: mixed orders embed
+                (a * b, a + b, a - b, -a, b - a, a.embed(48), b.embed(b.order * 5))
+    monkeypatch.undo()
+    assert created == []
