@@ -4,7 +4,8 @@ The JSON output is the behaviour contract of every subcommand, so these
 digests were taken once and must not change under a refactor.  A change in
 any of them means the printed result changed; it needs its own reason and a
 new digest, never an edit that keeps the test green.  Run in process via
-cli.main, as tests/test_cli.py does; the 28 invocations take about 20 s.
+cli.main, as tests/test_cli.py does; the 29 invocations take about 25 s,
+selfcheck about 5 s of them.
 """
 import hashlib
 
@@ -70,6 +71,8 @@ GOLDEN = [
      '993b8fbccec0c53b29b83df73a2a66be86723a727d200cad4668f988944eb122'),
     ('grading coarsen --catalog g2 --merge 1,2', 1,
      '3a76e19404eba08657119177f4ee8f9af3e028795b235140fd8e7dbe8d08df46'),
+    ('selfcheck', 0,
+     'a8a65c787b6daf34afcc3049db5b1f676002b9c676e5c7a600fd59e133140b9c'),
 ]
 
 
