@@ -11,16 +11,19 @@ import hashlib
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import contractions as con
 from . import selfcheck
 from .autgrp import NAMED_AUTOMORPHISMS, Automorphism, named_automorphism
 from .cyclo import CycloNumber
 from .gradings import (AbelianGroup, Grading, catalog, coarsen, format_label,
-                       search_labeling, verify_grading, CATALOG_NAMES)
+                       search_labeling, verify_grading, verify_labeling,
+                       CATALOG_NAMES)
 from .liealg import parse_element, special_linear
 from .linalg import as_cyclo
-from .normalizers import (catalog_normalizer_generators, induced_permutation,
+from .normalizers import (CATALOG_NORMALIZER_GENERATORS,
+                          catalog_normalizer_generators, induced_permutation,
                           inner_subquotient, linearize_on_labels, normalizes,
                           quotient_group, det_mod3)
 
@@ -61,10 +64,10 @@ def render_coords(coords, algebra) -> str:
     return "".join(terms) if terms else "0"
 
 
-# what reading a bad JSON document raises: bytes that are not UTF-8 or not
-# JSON, a missing key, a value of the wrong type, a zero denominator
-_MALFORMED = (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
-              AttributeError, ZeroDivisionError)
+# what reading a bad JSON document raises: a ValueError (bytes that are not
+# UTF-8 or not JSON, a value unparsable or out of range), a missing key, a
+# value of the wrong type, a zero denominator
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
 
 # largest group order `grading label` accepts: the search lists every element
 MAX_LABEL_GROUP_ORDER = 1 << 16
@@ -80,10 +83,9 @@ def _malformed(what: str, path: str, exc: Exception) -> ValueError:
     return ValueError(f"malformed {what} in {path!r}: {reason}")
 
 
-def _check_algebra_size(n: int, what: str, path: str) -> None:
+def _check_algebra_size(n: int) -> None:
     if n > MAX_ALGEBRA_N:
-        raise ValueError(f"{what} in {path!r} is over sl({n}), above the limit "
-                         f"of sl({MAX_ALGEBRA_N})")
+        raise ValueError(f"sl({n}) is above the limit of sl({MAX_ALGEBRA_N})")
 
 
 def _read_input(path: str) -> bytes:
@@ -107,7 +109,7 @@ def _load_automorphism(spec_text: str) -> Automorphism:
             f"file ({exc.strerror})") from None
     try:
         data = json.loads(raw)
-        _check_algebra_size(int(data["rep"]["rows"]), "automorphism", spec_text)
+        _check_algebra_size(int(data["rep"]["rows"]))
         return Automorphism.from_json(data)
     except _MALFORMED as exc:
         raise _malformed("automorphism", spec_text, exc) from None
@@ -122,7 +124,6 @@ def _element_row(row, algebra):
         if isinstance(entry, dict):
             coords.append(CycloNumber.from_json(entry))
         elif isinstance(entry, str):
-            from fractions import Fraction
             coords.append(as_cyclo(Fraction(entry)))
         else:
             coords.append(as_cyclo(entry))
@@ -141,7 +142,7 @@ def _load_grading(path: str):
         data = json.loads(raw.decode("utf-8"))
         if "grading" in data and "parts" not in data:
             data = data["grading"]
-        _check_algebra_size(int(data["n"]), "grading", path)
+        _check_algebra_size(int(data["n"]))
         algebra = special_linear(int(data["n"]))
         parts_json = []
         for part in data["parts"]:
@@ -206,7 +207,6 @@ def cmd_grading_verify(args) -> int:
     cert = verify_grading(g)
     labels_ok = None
     if g.labels is not None:
-        from .gradings import verify_labeling
         labels_ok = verify_labeling(g, g.group, g.labels)
     data = {"source": source, "parts": g.num_parts,
             "dims": list(g.part_dims), "is_grading": cert.ok,
@@ -302,17 +302,12 @@ def cmd_normalizer_check(args) -> int:
 
 
 def _group_report(q, gen_names):
-    exponent = 1
-    profile = {}
-    for p in q.elements:
-        k = p.order()
-        exponent = math.lcm(exponent, k)
-        profile[k] = profile.get(k, 0) + 1
+    profile = q.element_order_profile()
     elements = sorted(
         ({"mapping": list(p.mapping), "order": p.order(),
           "cycles": p.cycle_notation()} for p in q.elements),
         key=lambda e: e["mapping"])
-    return {"order": q.order, "exponent": exponent,
+    return {"order": q.order, "exponent": math.lcm(*profile),
             "element_order_profile": {str(k): v
                                       for k, v in sorted(profile.items())},
             "generators": [{"name": n, "cycles": p.cycle_notation()}
@@ -329,28 +324,20 @@ def _group_lines(title, data):
     return lines
 
 
-def cmd_normalizer_quotient(args) -> int:
+def cmd_normalizer_group(args) -> int:
+    """`normalizer quotient` and `normalizer inner`: N(G)/G or its inner
+    subquotient, generated by all catalog generators or the inner ones."""
     entry = catalog(args.catalog)
     gens = catalog_normalizer_generators(args.catalog)
-    from .normalizers import CATALOG_NORMALIZER_GENERATORS
     names = CATALOG_NORMALIZER_GENERATORS[args.catalog]
-    q = quotient_group(entry.spec, entry.grading, gens)
+    if args.subcommand == "inner":
+        title, build = "inner subquotient", inner_subquotient
+        names = [n for n, a in zip(names, gens) if a.kind == "inner"]
+    else:
+        title, build = "normalizer quotient", quotient_group
+    q = build(entry.spec, entry.grading, gens)
     data = {"catalog": args.catalog, **_group_report(q, names)}
-    _emit(args, _group_lines(f"normalizer quotient of {args.catalog}", data),
-          data)
-    return 0
-
-
-def cmd_normalizer_inner(args) -> int:
-    entry = catalog(args.catalog)
-    gens = catalog_normalizer_generators(args.catalog)
-    from .normalizers import CATALOG_NORMALIZER_GENERATORS
-    all_names = CATALOG_NORMALIZER_GENERATORS[args.catalog]
-    inner_names = [n for n, a in zip(all_names, gens) if a.kind == "inner"]
-    q = inner_subquotient(entry.spec, entry.grading, gens)
-    data = {"catalog": args.catalog, **_group_report(q, inner_names)}
-    _emit(args, _group_lines(f"inner subquotient of {args.catalog}", data),
-          data)
+    _emit(args, _group_lines(f"{title} of {args.catalog}", data), data)
     return 0
 
 
@@ -557,12 +544,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = nsub.add_parser("quotient", help="the quotient permutation group")
     _add_catalog(p)
     _add_format(p)
-    p.set_defaults(func=cmd_normalizer_quotient)
+    p.set_defaults(func=cmd_normalizer_group)
 
     p = nsub.add_parser("inner", help="the inner subquotient")
     _add_catalog(p)
     _add_format(p)
-    p.set_defaults(func=cmd_normalizer_inner)
+    p.set_defaults(func=cmd_normalizer_group)
 
     p = nsub.add_parser("linearize", help="2x2 model of a label action")
     _add_catalog(p)

@@ -21,6 +21,12 @@ from math import gcd, lcm
 # hits, while a long session cannot grow it without limit.
 CANONICAL_CACHE_SIZE = 4096
 
+# largest order a scalar read from JSON may name (the catalog needs 4):
+# arithmetic grows with phi(order), and `grading verify` on the g4 grading with
+# one part scaled by a primitive 251st root of unity takes about 1 s of CPU
+# (3 s at 509)
+MAX_JSON_ORDER = 256
+
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -366,9 +372,17 @@ class CycloNumber:
 
     @classmethod
     def from_json(cls, data: dict) -> "CycloNumber":
+        """The value of `to_json`'s output; ValueError for an order outside
+        1..MAX_JSON_ORDER or an exponent outside 0..phi(order)-1."""
         order = int(data["order"])
-        coeffs = [0] * euler_phi(order)
+        if not 1 <= order <= MAX_JSON_ORDER:
+            raise ValueError(f"scalar order {order} is outside 1..{MAX_JSON_ORDER}")
+        phi = euler_phi(order)
+        coeffs = [0] * phi
         for num, den, exp in data["terms"]:
+            if not 0 <= exp < phi:
+                raise ValueError(f"exponent {exp} of a scalar of order {order} "
+                                 f"is outside 0..{phi - 1}")
             coeffs[exp] = Fraction(num, den)
         return cls(order, coeffs)
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 # ClosureCapExceeded is raised by _closure and stays importable from here
 from .autgrp import (Automorphism, ClosureCapExceeded, _bfs, compose,
-                     conjugate, identity_automorphism, inverse)
+                     conjugate, identity_automorphism, inverse,
+                     named_automorphism)
 from .gradings import Grading, MadGroupSpec, _part_maps, verify_grading
 from .linalg import Subspace
 
@@ -352,7 +353,6 @@ CATALOG_NORMALIZER_GENERATORS = {
 
 
 def catalog_normalizer_generators(name: str):
-    from .autgrp import named_automorphism
     try:
         gen_names = CATALOG_NORMALIZER_GENERATORS[name]
     except KeyError:

@@ -1,12 +1,16 @@
 """Golden verification suite: every published claim, recomputed and checked.
 
 Each check is independent and returns a CheckResult; run_all executes the
-requested subset in order and reports one pass/fail line per item.  Shared
-intermediate objects (catalog gradings, quotient groups, equation systems)
-are computed once per process through a lazy workbench.
+requested subset in order and reports one pass/fail line per item.  A
+criterion's body returns its detail line when it passes and raises _Fail with
+the detail line when it fails; @_criterion registers it, times it and builds
+the CheckResult.  Shared intermediate objects (catalog gradings, quotient
+groups, equation systems) are computed once per process through a lazy
+workbench.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -79,87 +83,91 @@ class _Workbench:
         return self._solutions[name]
 
 
-def check_1(bench: _Workbench) -> CheckResult:
+class _Fail(Exception):
+    """A criterion's failure; the message is its detail line."""
+
+
+CHECKS = {}
+
+
+def _criterion(number: int, title: str):
+    """Register a body as CHECKS[number], timed: passed with the detail it
+    returns, failed with the _Fail it raises; other exceptions propagate."""
+    def register(body):
+        @functools.wraps(body)
+        def check(bench: _Workbench) -> CheckResult:
+            t0 = time.time()
+            try:
+                passed, detail = True, body(bench)
+            except _Fail as exc:
+                passed, detail = False, str(exc)
+            return CheckResult(number, title, passed, detail, time.time() - t0)
+        check.title = title
+        CHECKS[number] = check
+        return check
+    return register
+
+
+@_criterion(1, "fine grading reproduction")
+def check_1(bench: _Workbench) -> str:
     """Common eigenspaces of each generating set equal the published parts."""
-    t0 = time.time()
     details = []
     for name in ("g1", "g2", "g3", "g4"):
         entry = catalog(name)
         fresh = common_eigenspaces(entry.spec.separating_generators)
         expected = _expected_parts(name)
         if set(fresh.parts) != set(expected):
-            return CheckResult(1, "fine grading reproduction", False,
-                               f"{name}: eigenspace decomposition differs "
-                               f"from the published parts", time.time() - t0)
+            raise _Fail(f"{name}: eigenspace decomposition differs from the "
+                        "published parts")
         if tuple(entry.grading.parts) != tuple(expected):
-            return CheckResult(1, "fine grading reproduction", False,
-                               f"{name}: catalog parts out of published order",
-                               time.time() - t0)
+            raise _Fail(f"{name}: catalog parts out of published order")
         details.append(f"{name} dims {list(entry.grading.part_dims)}")
     g1 = catalog("g1").grading
     if sorted(g1.part_dims, reverse=True) != [2, 1, 1, 1, 1, 1, 1]:
-        return CheckResult(1, "fine grading reproduction", False,
-                           "g1 does not have dims {2,1^6}", time.time() - t0)
-    return CheckResult(1, "fine grading reproduction", True,
-                       "; ".join(details), time.time() - t0)
+        raise _Fail("g1 does not have dims {2,1^6}")
+    return "; ".join(details)
 
 
-def check_2(bench: _Workbench) -> CheckResult:
+@_criterion(2, "grading axiom and labelings")
+def check_2(bench: _Workbench) -> str:
     """Grading axiom and labelings, including the two searched ones."""
-    t0 = time.time()
     for name in ("g1", "g2", "g3", "g4"):
         cert = verify_grading(catalog(name).grading)
         if not cert.ok:
-            return CheckResult(2, "grading axiom and labelings", False,
-                               f"{name}: {cert.violation}", time.time() - t0)
+            raise _Fail(f"{name}: {cert.violation}")
     published_groups = {"g2": (2, 2, 2), "g3": (8,), "g4": (3, 3)}
     for name, orders in published_groups.items():
         g = catalog(name).grading
         if g.group.cyclic_orders != orders:
-            return CheckResult(2, "grading axiom and labelings", False,
-                               f"{name}: catalog group is {g.group}, expected "
-                               f"{orders}", time.time() - t0)
+            raise _Fail(f"{name}: catalog group is {g.group}, expected {orders}")
         if not verify_labeling(g, g.group, g.labels):
-            return CheckResult(2, "grading axiom and labelings", False,
-                               f"{name}: published labels fail additivity",
-                               time.time() - t0)
+            raise _Fail(f"{name}: published labels fail additivity")
     g1 = catalog("g1").grading
     found = []
     for orders in ((3, 3), (7,)):
         group = AbelianGroup(orders)
         labels = search_labeling(g1, group)
         if labels is None or not verify_labeling(g1, group, labels):
-            return CheckResult(2, "grading axiom and labelings", False,
-                               f"g1: no valid labeling over {group}",
-                               time.time() - t0)
+            raise _Fail(f"g1: no valid labeling over {group}")
         found.append(str(group))
-    return CheckResult(2, "grading axiom and labelings", True,
-                       "verified g1-g4; published labels for g2,g3,g4; "
-                       f"g1 labeled over {found[0]} and {found[1]}",
-                       time.time() - t0)
+    return ("verified g1-g4; published labels for g2,g3,g4; "
+            f"g1 labeled over {found[0]} and {found[1]}")
 
 
-def check_3(bench: _Workbench) -> CheckResult:
+@_criterion(3, "MAD-group cardinalities")
+def check_3(bench: _Workbench) -> str:
     """MAD-group cardinalities for the two finite groups."""
-    t0 = time.time()
     pauli = automorphism_closure([named_automorphism("AdP"),
                                   named_automorphism("AdQ")])
     if len(pauli) != 9:
-        return CheckResult(3, "MAD-group cardinalities", False,
-                           f"closure of {{AdP, AdQ}} has {len(pauli)} "
-                           "elements, expected 9", time.time() - t0)
+        raise _Fail(f"closure of {{AdP, AdQ}} has {len(pauli)} elements, expected 9")
     g2 = mad_group_spec("g2")
     close = automorphism_closure(g2.separating_generators)
     if len(close) != 8:
-        return CheckResult(3, "MAD-group cardinalities", False,
-                           f"closure of the g2 generators has {len(close)} "
-                           "elements, expected 8", time.time() - t0)
+        raise _Fail(f"closure of the g2 generators has {len(close)} elements, expected 8")
     if set(close) != set(g2.elements):
-        return CheckResult(3, "MAD-group cardinalities", False,
-                           "g2 closure disagrees with the stored element list",
-                           time.time() - t0)
-    return CheckResult(3, "MAD-group cardinalities", True,
-                       "|<AdP,AdQ>| = 9; |G2| = 8", time.time() - t0)
+        raise _Fail("g2 closure disagrees with the stored element list")
+    return "|<AdP,AdQ>| = 9; |G2| = 8"
 
 
 PUBLISHED_QUOTIENT_ORDERS = {"g1": 12, "g2": 18, "g3": 4, "g4": 48}
@@ -176,7 +184,8 @@ def _lagrange_witness(q, order: int):
     return next((p for p in q.elements if order % p.order()), None)
 
 
-def check_4(bench: _Workbench) -> CheckResult:
+@_criterion(4, "normalizer quotient orders")
+def check_4(bench: _Workbench) -> str:
     """Normalizer quotient orders, certified from below and from above.
 
     For every grading the computed quotient (the audited closure, a lower
@@ -188,7 +197,6 @@ def check_4(bench: _Workbench) -> CheckResult:
     element order refutes the published value by Lagrange.  The g3 quotient
     must be elementary abelian.
     """
-    t0 = time.time()
     failures, details = [], []
     for name, published in PUBLISHED_QUOTIENT_ORDERS.items():
         q = bench.quotient(name)
@@ -222,74 +230,55 @@ def check_4(bench: _Workbench) -> CheckResult:
     if not all(p.order() in (1, 2) for p in bench.quotient("g3").elements):
         failures.append("g3: an element of order > 2 exists")
     if failures:
-        return CheckResult(4, "normalizer quotient orders", False,
-                           "; ".join(failures), time.time() - t0)
-    return CheckResult(4, "normalizer quotient orders", True,
-                       "; ".join(details) + "; g3 elementary abelian",
-                       time.time() - t0)
+        raise _Fail("; ".join(failures))
+    return "; ".join(details) + "; g3 elementary abelian"
 
 
-def check_5(bench: _Workbench) -> CheckResult:
+@_criterion(5, "inner subquotients")
+def check_5(bench: _Workbench) -> str:
     """Inner subquotients: order 6 on g1; SL(2,Z3) on g4."""
-    t0 = time.time()
     i1 = bench.inner("g1")
     if i1.order != 6:
-        return CheckResult(5, "inner subquotients", False,
-                           f"g1 inner subquotient has order {i1.order}, "
-                           "expected 6", time.time() - t0)
+        raise _Fail(f"g1 inner subquotient has order {i1.order}, expected 6")
     g1 = catalog("g1").grading
     images = [induced_permutation(named_automorphism(n), g1)
               for n in ("AdB1", "AdB2")]
     generated = set(_bfs(Permutation.identity(g1.num_parts), images,
                          Permutation.compose, lambda p: p, DEFAULT_CLOSURE_CAP))
     if generated != set(i1.elements):
-        return CheckResult(5, "inner subquotients", False,
-                           "g1 inner subquotient is not generated by the "
-                           "images of AdB1, AdB2", time.time() - t0)
+        raise _Fail("g1 inner subquotient is not generated by the images of AdB1, AdB2")
     i4 = bench.inner("g4")
     if i4.order != 24:
-        return CheckResult(5, "inner subquotients", False,
-                           f"g4 inner subquotient has order {i4.order}, "
-                           "expected 24", time.time() - t0)
+        raise _Fail(f"g4 inner subquotient has order {i4.order}, expected 24")
     g4 = catalog("g4").grading
     mats = set()
     for p in i4.elements:
         m = linearize_on_labels(p, g4)
         if m is None:
-            return CheckResult(5, "inner subquotients", False,
-                               f"{p.cycle_notation()} does not act linearly "
-                               "on the labels", time.time() - t0)
+            raise _Fail(f"{p.cycle_notation()} does not act linearly on the labels")
         mats.add(m)
     sl2 = {((a, b), (c, d))
            for a, b, c, d in itertools.product(range(3), repeat=4)
            if (a * d - b * c) % 3 == 1}
     if mats != sl2:
-        return CheckResult(5, "inner subquotients", False,
-                           f"linearized image has {len(mats)} matrices, "
-                           f"expected the {len(sl2)} of determinant 1",
-                           time.time() - t0)
-    return CheckResult(5, "inner subquotients", True,
-                       "g1 inner = <AdB1, AdB2> of order 6; g4 inner "
-                       "linearizes onto all 24 determinant-1 matrices over Z3",
-                       time.time() - t0)
+        raise _Fail(f"linearized image has {len(mats)} matrices, expected the "
+                    f"{len(sl2)} of determinant 1")
+    return ("g1 inner = <AdB1, AdB2> of order 6; g4 inner linearizes onto all "
+            "24 determinant-1 matrices over Z3")
 
 
-def check_6(bench: _Workbench) -> CheckResult:
+@_criterion(6, "permutation constraints")
+def check_6(bench: _Workbench) -> str:
     """Constraints on induced permutations."""
-    t0 = time.time()
     for name in ("g1", "g2"):
         g = catalog(name).grading
         two_dim = [i for i, d in enumerate(g.part_dims) if d == 2]
         if len(two_dim) != 1:
-            return CheckResult(6, "permutation constraints", False,
-                               f"{name}: expected exactly one 2-dim part",
-                               time.time() - t0)
+            raise _Fail(f"{name}: expected exactly one 2-dim part")
         fixed = two_dim[0]
         for p in bench.quotient(name).elements:
             if p(fixed) != fixed:
-                return CheckResult(6, "permutation constraints", False,
-                                   f"{name}: {p.cycle_notation()} moves the "
-                                   "2-dim part", time.time() - t0)
+                raise _Fail(f"{name}: {p.cycle_notation()} moves the 2-dim part")
     checked_pairs = 0
     for name in ("g1", "g2", "g3", "g4"):
         g = catalog(name).grading
@@ -298,10 +287,8 @@ def check_6(bench: _Workbench) -> CheckResult:
             lhs = induced_permutation(compose(f, h), g)
             rhs = induced_permutation(f, g).compose(induced_permutation(h, g))
             if lhs != rhs:
-                return CheckResult(6, "permutation constraints", False,
-                                   f"{name}: induced permutation is not "
-                                   "functorial on a generator pair",
-                                   time.time() - t0)
+                raise _Fail(f"{name}: induced permutation is not functorial "
+                            "on a generator pair")
             checked_pairs += 1
     for name in ("g1", "g2", "g3", "g4"):
         entry = catalog(name)
@@ -309,19 +296,16 @@ def check_6(bench: _Workbench) -> CheckResult:
         for h in members:
             p = induced_permutation(h, entry.grading)
             if not p.is_identity():
-                return CheckResult(6, "permutation constraints", False,
-                                   f"{name}: a group element permutes its own "
-                                   f"grading ({p.cycle_notation()})",
-                                   time.time() - t0)
-    return CheckResult(6, "permutation constraints", True,
-                       "2-dim parts fixed on g1, g2; functoriality on "
-                       f"{checked_pairs} generator pairs; group elements act "
-                       "trivially on their own parts", time.time() - t0)
+                raise _Fail(f"{name}: a group element permutes its own "
+                            f"grading ({p.cycle_notation()})")
+    return ("2-dim parts fixed on g1, g2; functoriality on "
+            f"{checked_pairs} generator pairs; group elements act "
+            "trivially on their own parts")
 
 
-def check_7(bench: _Workbench) -> CheckResult:
+@_criterion(7, "contraction oracle equivalence")
+def check_7(bench: _Workbench) -> str:
     """Equation solutions equal the Jacobi-oracle-filtered assignments."""
-    t0 = time.time()
     rng = random.Random(SEED)
     details = []
     for name in ("g1", "g2", "g3", "g4"):
@@ -332,22 +316,17 @@ def check_7(bench: _Workbench) -> CheckResult:
             by_oracle = con.sweep_oracle(system, pin=1)
             by_oracle_0 = con.sweep_oracle(system, pin=0)
         except ValueError as exc:
-            return CheckResult(7, "contraction oracle equivalence", False,
-                               f"{name}: {exc}", time.time() - t0)
+            raise _Fail(f"{name}: {exc}")
         if not np.array_equal(by_oracle, by_oracle_0):
-            return CheckResult(7, "contraction oracle equivalence", False,
-                               f"{name}: pinned value of an unconstrained "
-                               "pair changed the oracle sweep", time.time() - t0)
+            raise _Fail(f"{name}: pinned value of an unconstrained pair "
+                        "changed the oracle sweep")
         if not np.array_equal(by_equations, by_oracle):
             sym = np.setxor1d(by_equations, by_oracle)
-            return CheckResult(7, "contraction oracle equivalence", False,
-                               f"{name}: routes disagree on {sym.shape[0]} "
-                               "assignments", time.time() - t0)
+            raise _Fail(f"{name}: routes disagree on {sym.shape[0]} assignments")
         solved = bench.solutions(name)
         if not np.array_equal(solved.active_masks, by_equations):
-            return CheckResult(7, "contraction oracle equivalence", False,
-                               f"{name}: backtracking solver disagrees with "
-                               "the exhaustive sweep", time.time() - t0)
+            raise _Fail(f"{name}: backtracking solver disagrees with the "
+                        "exhaustive sweep")
         grading = catalog(name).grading
         spot = 0
         for _ in range(200):
@@ -355,21 +334,18 @@ def check_7(bench: _Workbench) -> CheckResult:
             eps = system.mask_to_assignment(mask)
             direct = con.jacobi_oracle(con.contracted_structure(grading, eps))
             if direct != solved.contains_mask(mask):
-                return CheckResult(7, "contraction oracle equivalence", False,
-                                   f"{name}: direct Jacobi check disagrees on "
-                                   f"mask {mask}", time.time() - t0)
+                raise _Fail(f"{name}: direct Jacobi check disagrees on mask {mask}")
             spot += 1
         details.append(f"{name}: 2^{n_active} assignments swept, "
                        f"{by_equations.shape[0]} solutions, {spot} direct "
                        "Jacobi spot checks")
-    return CheckResult(7, "contraction oracle equivalence", True,
-                       "; ".join(details), time.time() - t0)
+    return "; ".join(details)
 
 
-def check_8(bench: _Workbench) -> CheckResult:
+@_criterion(8, "solution symmetry invariance")
+def check_8(bench: _Workbench) -> str:
     """Solution sets are invariant under the quotient action; orbit counts
     agree with Burnside's lemma."""
-    t0 = time.time()
     rng = random.Random(SEED + 8)
     details = []
     for name in ("g1", "g2", "g3", "g4"):
@@ -377,9 +353,7 @@ def check_8(bench: _Workbench) -> CheckResult:
         solved = bench.solutions(name)
         q = bench.quotient(name)
         if not con.is_invariant(solved, q):
-            return CheckResult(8, "solution symmetry invariance", False,
-                               f"{name}: a pushforward leaves the solution set",
-                               time.time() - t0)
+            raise _Fail(f"{name}: a pushforward leaves the solution set")
         varperms = [con.pair_variable_permutation(p, system)
                     for p in q.elements]
         free_bits = list(system.free)
@@ -393,44 +367,34 @@ def check_8(bench: _Workbench) -> CheckResult:
                 for src, dst in enumerate(vp):
                     image |= ((base >> src) & 1) << dst
                 if not solved.contains_mask(image):
-                    return CheckResult(8, "solution symmetry invariance", False,
-                                       f"{name}: pushforward of solution "
-                                       f"{base} is not a solution",
-                                       time.time() - t0)
+                    raise _Fail(f"{name}: pushforward of solution {base} is "
+                                "not a solution")
         include_free = len(solved) <= con.MATERIALIZE_CAP
         orbits = con.symmetry_orbits(solved, q, include_free=include_free)
         total = sum(o.size for o in orbits)
         want = len(solved) if include_free else solved.active_count
         if total != want:
-            return CheckResult(8, "solution symmetry invariance", False,
-                               f"{name}: orbit sizes sum to {total}, "
-                               f"not {want}", time.time() - t0)
+            raise _Fail(f"{name}: orbit sizes sum to {total}, not {want}")
         bad = [o for o in orbits if q.order % o.size]
         if bad:
-            return CheckResult(8, "solution symmetry invariance", False,
-                               f"{name}: orbit size {bad[0].size} does not "
-                               f"divide {q.order}", time.time() - t0)
+            raise _Fail(f"{name}: orbit size {bad[0].size} does not divide {q.order}")
         # Burnside counts the full-set orbits without materializing them: a
         # second route where the orbits are listed, the only one beyond the cap
         try:
             burnside = con.burnside_orbit_count(solved, q)
         except ValueError as exc:
-            return CheckResult(8, "solution symmetry invariance", False,
-                               f"{name}: {exc}", time.time() - t0)
+            raise _Fail(f"{name}: {exc}")
         if include_free and burnside != len(orbits):
-            return CheckResult(8, "solution symmetry invariance", False,
-                               f"{name}: Burnside counts {burnside} orbits, "
-                               f"not {len(orbits)}", time.time() - t0)
+            raise _Fail(f"{name}: Burnside counts {burnside} orbits, not {len(orbits)}")
         scope = "all" if include_free else "constrained-pattern"
         details.append(f"{name}: {len(orbits)} orbits of {total} {scope} "
                        f"solutions, {burnside} full-set orbits by Burnside")
-    return CheckResult(8, "solution symmetry invariance", True,
-                       "; ".join(details), time.time() - t0)
+    return "; ".join(details)
 
 
-def check_9(bench: _Workbench) -> CheckResult:
+@_criterion(9, "substrate properties")
+def check_9(bench: _Workbench) -> str:
     """Substrate properties: scalars, linear algebra, automorphism action."""
-    t0 = time.time()
     rng = random.Random(SEED + 9)
     orders = (1, 3, 4, 5, 6, 8, 12)
 
@@ -446,24 +410,19 @@ def check_9(bench: _Workbench) -> CheckResult:
         a, b, c = rand_cyclo(), rand_cyclo(), rand_cyclo()
         if (a + b) * c != a * c + b * c or a * b != b * a or \
                 (a * b) * c != a * (b * c):
-            return CheckResult(9, "substrate properties", False,
-                               "a cyclotomic field axiom failed",
-                               time.time() - t0)
+            raise _Fail("a cyclotomic field axiom failed")
     for _ in range(200):
         a = rand_cyclo()
         if a.is_zero():
             continue
         if a * a.inverse() != CycloNumber.one(a.order):
-            return CheckResult(9, "substrate properties", False,
-                               "inverse round trip failed", time.time() - t0)
+            raise _Fail("inverse round trip failed")
     for _ in range(300):
         a, b = rand_cyclo(), rand_cyclo()
         for lhs, rhs in ((complex(a * b), complex(a) * complex(b)),
                          (complex(a + b), complex(a) + complex(b))):
             if abs(lhs - rhs) > 1e-9:
-                return CheckResult(9, "substrate properties", False,
-                                   f"numeric embedding off by {abs(lhs - rhs)}",
-                                   time.time() - t0)
+                raise _Fail(f"numeric embedding off by {abs(lhs - rhs)}")
 
     def rand_subspace():
         k = rng.randint(1, 5)
@@ -475,8 +434,7 @@ def check_9(bench: _Workbench) -> CheckResult:
     for _ in range(100):
         u, w = rand_subspace(), rand_subspace()
         if u.dim + w.dim != u.add(w).dim + u.intersect(w).dim:
-            return CheckResult(9, "substrate properties", False,
-                               "dimension formula failed", time.time() - t0)
+            raise _Fail("dimension formula failed")
 
     algebra = special_linear(3)
     pool = [named_automorphism(n) for n in
@@ -495,17 +453,9 @@ def check_9(bench: _Workbench) -> CheckResult:
         lhs = f.apply_coords(algebra.bracket_coords(x, y))
         rhs = algebra.bracket_coords(f.apply_coords(x), f.apply_coords(y))
         if tuple(lhs) != tuple(rhs):
-            return CheckResult(9, "substrate properties", False,
-                               "action does not respect the bracket",
-                               time.time() - t0)
-    return CheckResult(9, "substrate properties", True,
-                       "field axioms, numeric embedding (1e-9), dimension "
-                       "formula, bracket equivariance on 1000 samples",
-                       time.time() - t0)
-
-
-CHECKS = {1: check_1, 2: check_2, 3: check_3, 4: check_4, 5: check_5,
-          6: check_6, 7: check_7, 8: check_8, 9: check_9}
+            raise _Fail("action does not respect the bracket")
+    return ("field axioms, numeric embedding (1e-9), dimension formula, "
+            "bracket equivariance on 1000 samples")
 
 
 def run_check(number: int, bench: _Workbench | None = None) -> CheckResult:

@@ -57,3 +57,23 @@ def test_criterion_8_solution_symmetry_invariance(bench):
 
 def test_criterion_9_substrate_properties(bench):
     _run(9, bench)
+
+
+def test_criteria_are_registered_with_their_titles():
+    assert sorted(selfcheck.CHECKS) == list(range(1, 10))
+    assert [selfcheck.CHECKS[n].title for n in range(1, 10)] == [
+        "fine grading reproduction", "grading axiom and labelings",
+        "MAD-group cardinalities", "normalizer quotient orders",
+        "inner subquotients", "permutation constraints",
+        "contraction oracle equivalence", "solution symmetry invariance",
+        "substrate properties"]
+
+
+def test_a_failing_criterion_reports_its_detail(monkeypatch):
+    closure = selfcheck.automorphism_closure
+    monkeypatch.setattr(selfcheck, "automorphism_closure",
+                        lambda gens: closure(gens)[1:])
+    result = selfcheck.run_check(3, selfcheck._Workbench())
+    assert (result.number, result.title, result.passed, result.detail) == (
+        3, "MAD-group cardinalities", False,
+        "closure of {AdP, AdQ} has 8 elements, expected 9")

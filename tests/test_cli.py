@@ -223,10 +223,36 @@ def test_bad_group_spec_is_a_usage_error(capsys):
             assert repr(argv[-1]) in err
 
 
+# scalars out of range, refused by CycloNumber.from_json before any arithmetic:
+# order 30030 once ran past 10 s, exponent 5 of order 3 ended in an IndexError
+# traceback and exponent -1 was read as z^(phi-1)
+SCALAR_REFUSALS = {
+    "scalar-order": ({"order": 30030, "terms": [[1, 1, 1]]},
+                     "scalar order 30030 is outside 1..256"),
+    "scalar-exponent": ({"order": 3, "terms": [[1, 1, 5]]},
+                        "exponent 5 of a scalar of order 3 is outside 0..1"),
+    "scalar-negative-exponent": ({"order": 3, "terms": [[1, 1, -1]]},
+                                 "exponent -1 of a scalar of order 3 is outside"),
+    "scalar-automorphism": ({"order": 3, "terms": [[1, 1, 2]]},
+                            "exponent 2 of a scalar of order 3 is outside 0..1"),
+}
+
+
 @pytest.mark.parametrize("case", ["unknown-automorphism", "missing-file",
                                   "no-parts", "zero-denominator", "bad-json",
-                                  "bad-json-automorphism", "not-utf8"])
+                                  "bad-json-automorphism", "not-utf8",
+                                  *SCALAR_REFUSALS])
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
+    scalar, refusal = SCALAR_REFUSALS.get(case, (None, ""))
+    one, zero = {"order": 1, "terms": [[1, 1, 0]]}, {"order": 1, "terms": []}
+    bad_scalar = tmp_path / "bad_scalar.json"
+    bad_scalar.write_text(json.dumps(
+        {"n": 3, "parts": [{"basis": [[scalar] + [zero] * 7]}]}))
+    entries = [scalar if i == j == 1 else one if i == j else zero
+               for i in range(3) for j in range(3)]
+    bad_scalar_rep = tmp_path / "bad_scalar_rep.json"
+    bad_scalar_rep.write_text(json.dumps(
+        {"kind": "inner", "rep": {"rows": 3, "cols": 3, "entries": entries}}))
     no_parts = tmp_path / "no_parts.json"
     no_parts.write_text(json.dumps({"n": 3}))
     zero_den = tmp_path / "zero_den.json"
@@ -246,9 +272,15 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
         "bad-json-automorphism": ["normalizer", "check", "--catalog", "g4",
                                   "--auto", str(bad_json)],
         "not-utf8": ["grading", "verify", "--input", str(not_utf8)],
+        "scalar-order": ["grading", "verify", "--input", str(bad_scalar)],
+        "scalar-exponent": ["grading", "verify", "--input", str(bad_scalar)],
+        "scalar-negative-exponent": ["grading", "verify",
+                                     "--input", str(bad_scalar)],
+        "scalar-automorphism": ["normalizer", "check", "--catalog", "g4",
+                                "--auto", str(bad_scalar_rep)],
     }[case]
     err = assert_one_line_usage_error(capsys, argv)
-    assert repr(argv[-1]) in err
+    assert repr(argv[-1]) in err and refusal in err
     if case == "unknown-automorphism":
         assert all(name in err for name in NAMED_AUTOMORPHISMS)
 
