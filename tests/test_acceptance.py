@@ -5,7 +5,9 @@ computed normalizer quotient orders against the published table and
 certifies each one from above by the bracket-support bound.  The published
 18 for the orthogonal grading is a recorded erratum: the computed quotient
 has order 24, equal to the bound, and contains an element of order 4, which
-rules 18 out by Lagrange.  All nine criteria must pass.
+rules 18 out by Lagrange.  All nine criteria must pass.  Two more tests
+check that the nine are registered under their titles and that a criterion
+whose check fails reports its detail line.
 """
 import pytest
 
