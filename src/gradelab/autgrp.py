@@ -73,10 +73,9 @@ class Automorphism:
         return {"kind": self.kind, "rep": self.rep.to_json()}
 
     @classmethod
-    def from_json(cls, data: dict, n: int | None = None) -> "Automorphism":
+    def from_json(cls, data: dict) -> "Automorphism":
         rep = Matrix.from_json(data["rep"])
-        algebra = special_linear(n if n is not None else rep.rows)
-        return cls(algebra, data["kind"], rep)
+        return cls(special_linear(rep.rows), data["kind"], rep)
 
     def __repr__(self):
         tag = "Ad" if self.kind == INNER else "Out"
@@ -95,14 +94,12 @@ def _action_matrix(algebra: LieAlgebra, kind: str, rep: Matrix) -> Matrix:
     return Matrix(dim, dim, [cols[j][i] for i in range(dim) for j in range(dim)])
 
 
-def make_ad(a: Matrix, algebra: LieAlgebra | None = None) -> Automorphism:
-    algebra = algebra or special_linear(a.rows)
-    return Automorphism(algebra, INNER, a)
+def make_ad(a: Matrix) -> Automorphism:
+    return Automorphism(special_linear(a.rows), INNER, a)
 
 
-def make_out(a: Matrix, algebra: LieAlgebra | None = None) -> Automorphism:
-    algebra = algebra or special_linear(a.rows)
-    return Automorphism(algebra, OUTER, a)
+def make_out(a: Matrix) -> Automorphism:
+    return Automorphism(special_linear(a.rows), OUTER, a)
 
 
 def identity_automorphism(n: int = 3) -> Automorphism:
@@ -134,11 +131,11 @@ def conjugate(h: Automorphism, g: Automorphism) -> Automorphism:
     return compose(inverse(h), compose(g, h))
 
 
-def order(f: Automorphism, cap: int = DEFAULT_ORDER_CAP) -> int | None:
-    """Multiplicative order of f, or None if it exceeds cap."""
+def order(f: Automorphism) -> int | None:
+    """Multiplicative order of f, or None if it exceeds DEFAULT_ORDER_CAP."""
     ident = Matrix.identity(f.algebra.dim)
     power = f.action
-    for k in range(1, cap + 1):
+    for k in range(1, DEFAULT_ORDER_CAP + 1):
         if power == ident:
             return k
         power = power * f.action
@@ -149,17 +146,17 @@ class InfiniteOrderError(ValueError):
     pass
 
 
-def eigenspaces(f: Automorphism, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[CycloNumber, Subspace]]:
+def eigenspaces(f: Automorphism) -> list[tuple[CycloNumber, Subspace]]:
     """Exact eigenpairs of a finite-order automorphism.
 
     Eigenvalues of an order-m automorphism are m-th roots of unity; each is
     tried and nonzero kernels are kept.  The spaces always sum to the whole
     algebra because the action is diagonalizable (finite order).
     """
-    m = order(f, cap)
+    m = order(f)
     if m is None:
         raise InfiniteOrderError(
-            f"order exceeds cap {cap}; pass finite-order separating generators")
+            f"order exceeds cap {DEFAULT_ORDER_CAP}; pass finite-order separating generators")
     dim = f.algebra.dim
     action = f.action
     found = []

@@ -761,45 +761,45 @@ def _pushed_product(rows: np.ndarray, cube: np.ndarray, varperm) -> np.ndarray:
     return (pushed_rows[:, None] | pushed_cube[None, :]).ravel()
 
 
-def _least_images(reference: np.ndarray, rows: np.ndarray, cube: np.ndarray,
-                  varperms) -> np.ndarray | None:
-    """Least image of each mask of rows x cube over all the variable permutations.
-
-    `reference` is the product set rows x cube, sorted; the result is in
-    `SolutionSet.masks` order.  Each permutation pushes the two factors and
-    ORs them (`_pushed_product`); the whole image, sorted, must equal
-    `reference` (a permutation of bits is injective, so that is membership
-    of every image mask), or None is returned.  When the permutations are
-    the whole of a group, the least image of a mask is the least mask of its
-    orbit.  For the constrained patterns alone, `cube` is [0].
-    """
-    least = np.full(rows.shape[0] * cube.shape[0], _ALL_ONES)
-    for vp in varperms:
-        image = _pushed_product(rows, cube, vp)
-        np.minimum(least, image, out=least)
-        image.sort()
-        if not np.array_equal(image, reference):
-            return None
-    return least
+class _NotInvariant(ValueError):
+    """A symmetry maps the solution set off itself.  `is_invariant` catches
+    only this, so a group of the wrong degree still raises."""
 
 
-_NO_FREE_BITS = np.zeros(1, dtype=np.uint64)
+def _symmetries(solutions: SolutionSet, quotient: PermutationGroup) -> list:
+    """(variable permutation, push of the constrained patterns) of each
+    quotient element, once the solution set is known to be invariant.
 
-
-def is_invariant(solutions: SolutionSet, quotient: PermutationGroup) -> bool:
-    """Exact check that every pushforward maps the solution set onto itself.
-
-    Free bits are permuted among themselves (symmetries preserve the zero
-    blocks), so invariance of the factored set reduces to invariance of the
-    constrained patterns; this is checked for every group element.
+    Raises ValueError if an element moves a free variable to a constrained
+    one, or if its push of the constrained patterns, sorted, differs from
+    them.  Otherwise the free bits are permuted among themselves and a bit
+    permutation distributes over OR, so the element maps the product set
+    onto itself: that is the whole invariance check.
     """
     system = solutions.system
     free = set(system.free)
-    varperms = [pair_variable_permutation(p, system) for p in quotient.elements]
-    if any(vp[f] not in free for vp in varperms for f in free):
-        return False
     rows = solutions.active_masks
-    return _least_images(rows, rows, _NO_FREE_BITS, varperms) is not None
+    symmetries = []
+    for p in quotient.elements:
+        vp = pair_variable_permutation(p, system)
+        if any(vp[f] not in free for f in free):
+            raise _NotInvariant("a symmetry moves a free variable to a constrained "
+                                "one; the solution set is not invariant")
+        pushed = apply_variable_permutation(rows, vp)
+        if not np.array_equal(np.sort(pushed), rows):
+            raise _NotInvariant("solution set is not invariant under the quotient")
+        symmetries.append((vp, pushed))
+    return symmetries
+
+
+def is_invariant(solutions: SolutionSet, quotient: PermutationGroup) -> bool:
+    """Exact check that every pushforward maps the solution set onto itself
+    (`_symmetries` on every group element)."""
+    try:
+        _symmetries(solutions, quotient)
+    except _NotInvariant:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -813,36 +813,35 @@ def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
     """Partition the solution set into orbits of the quotient action.
 
     `quotient.elements` must be a whole group (closed under composition):
-    each orbit is then labeled by the least image of any of its members in
-    one pass over the elements (`_least_images`), which pushes the constrained
-    patterns and the free-bit cube as two factors.  Returns Orbit records
-    sorted by representative mask; raises ValueError if an image leaves the
-    set.  With include_free the orbits are those of the whole product set,
-    which is materialized (`SolutionSet.masks`) and sorted as the reference
-    every image is compared with; sets beyond MATERIALIZE_CAP are refused
-    to keep memory bounded.  Without it the orbits are those of the
-    constrained patterns alone, i.e. solutions with every unconstrained pair
-    switched off, a subset closed under the action.
+    each orbit is then labeled by the least image of any of its members.
+    Invariance is decided once per element on the constrained patterns
+    (`_symmetries`; ValueError if it fails).  The least images start from
+    the identity image and take the minimum with each element's image.
+    Returns Orbit records sorted by representative mask.  With include_free
+    the orbits are those of the whole product set, materialized
+    (`SolutionSet.masks`) as the starting least image; an element's image
+    pushes the constrained patterns and the free-bit cube as two factors
+    (`_pushed_product`), and sets beyond MATERIALIZE_CAP are refused to keep
+    memory bounded.  Without it the orbits are those of the constrained
+    patterns alone, i.e. solutions with every unconstrained pair switched
+    off, a subset closed under the action.
     """
-    system = solutions.system
     rows = solutions.active_masks
+    symmetries = _symmetries(solutions, quotient)
     if include_free:
         total = len(solutions)
         if total > MATERIALIZE_CAP:
             raise ValueError(
                 f"solution set of size {total} exceeds the materialization cap "
                 f"{MATERIALIZE_CAP}; pass include_free=False")
-        reference = np.fromiter(solutions.masks(), dtype=np.uint64, count=total)
-        reference.sort()
+        least = np.fromiter(solutions.masks(), dtype=np.uint64, count=total)
         cube = solutions.free_cube()
+        for vp, _ in symmetries:
+            np.minimum(least, _pushed_product(rows, cube, vp), out=least)
     else:
-        reference, cube = rows, _NO_FREE_BITS
-    least = _least_images(reference, rows, cube,
-                          [pair_variable_permutation(p, system)
-                           for p in quotient.elements])
-    del reference  # 16 MiB on g1: free it before np.unique sorts a copy of least
-    if least is None:
-        raise ValueError("solution set is not invariant under the quotient")
+        least = rows.copy()
+        for _, pushed in symmetries:
+            np.minimum(least, pushed, out=least)
     reps, counts = np.unique(least, return_counts=True)
     return [Orbit(r, c) for r, c in zip(reps.tolist(), counts.tolist())]
 
@@ -855,28 +854,22 @@ def burnside_orbit_count(solutions: SolutionSet, quotient: PermutationGroup) -> 
     constant on each of its cycles on the free variables.  So each element
     contributes its fixed constrained patterns times 2^(its cycles on the
     free variables), and the orbit count is the sum over the group divided
-    by the order.  Nothing is materialized.  The set must be invariant
-    (`is_invariant`); raises ValueError if an element moves a free variable
-    to a constrained one or the sum is not divisible by the order.
+    by the order.  Nothing is materialized.  Raises ValueError if the set is
+    not invariant (`_symmetries`) or the sum is not divisible by the order.
     """
     system = solutions.system
-    free = set(system.free)
     rows = solutions.active_masks
     total = 0
-    for p in quotient.elements:
-        vp = pair_variable_permutation(p, system)
+    for vp, pushed in _symmetries(solutions, quotient):
         cycles, seen = 0, set()
         for f in system.free:
             if f in seen:
                 continue
             cycles += 1
             while f not in seen:
-                if f not in free:
-                    raise ValueError("a symmetry moves a free variable to a constrained one")
                 seen.add(f)
                 f = vp[f]
-        fixed = int(np.count_nonzero(apply_variable_permutation(rows, vp) == rows))
-        total += fixed << cycles
+        total += int(np.count_nonzero(pushed == rows)) << cycles
     if total % quotient.order:
         raise ValueError(f"Burnside sum {total} is not divisible by the group "
                          f"order {quotient.order}")

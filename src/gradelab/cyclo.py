@@ -169,11 +169,6 @@ class CycloNumber:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.nums[0], self.den)
-
     # --- order handling -------------------------------------------------
 
     def embed(self, target_order: int) -> "CycloNumber":

@@ -62,9 +62,6 @@ class AbelianGroup:
     def add(self, a, b) -> tuple:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.cyclic_orders))
 
-    def neg(self, a) -> tuple:
-        return tuple((-x) % n for x, n in zip(a, self.cyclic_orders))
-
     def elements(self) -> list:
         return list(itertools.product(*(range(n) for n in self.cyclic_orders)))
 
@@ -164,17 +161,16 @@ class Grading:
 
 # --- construction from commuting automorphisms ------------------------------
 
-def common_eigenspaces(gens, algebra: LieAlgebra | None = None) -> Grading:
+def common_eigenspaces(gens) -> Grading:
     """Decompose the algebra into joint eigenspaces of commuting automorphisms.
 
     Parts are ordered lexicographically by their eigenvalue tuples, which
     makes the output independent of generator multiplicities and repeats.
     """
     gens = list(gens)
-    if algebra is None:
-        if not gens:
-            raise ValueError("need at least one automorphism or an explicit algebra")
-        algebra = gens[0].algebra
+    if not gens:
+        raise ValueError("need at least one automorphism")
+    algebra = gens[0].algebra
     for f, g in itertools.combinations(gens, 2):
         if f.action * g.action != g.action * f.action:
             raise ValueError("automorphisms do not commute")

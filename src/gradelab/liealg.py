@@ -210,11 +210,6 @@ def jacobi_table_holds(dim: int, table) -> bool:
     return True
 
 
-def jacobi_check(algebra: LieAlgebra) -> bool:
-    """Verify the Jacobi identity for the algebra's own structure constants."""
-    return jacobi_table_holds(algebra.dim, algebra.structure_constant)
-
-
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?\s*\*?\s*)?"
     r"(?P<name>[EH]\d+)\s*")

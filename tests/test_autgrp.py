@@ -117,7 +117,7 @@ def test_projective_equality():
     assert hash(make_ad(m)) == hash(make_ad(scaled))
     # equality is by action, not by representative and kind: on sl(2) the
     # outer Out_J is the identity map
-    out_j = make_out(Matrix.from_rows([[0, 1], [-1, 0]]), special_linear(2))
+    out_j = make_out(Matrix.from_rows([[0, 1], [-1, 0]]))
     assert out_j == identity_automorphism(2)
     assert hash(out_j) == hash(identity_automorphism(2))
 

@@ -18,7 +18,8 @@ from gradelab.contractions import (ContractionSystem, EpsilonAssignment,
 from gradelab.gradings import AbelianGroup, Grading, catalog
 from gradelab.liealg import special_linear
 from gradelab.linalg import Subspace
-from gradelab.normalizers import quotient_group, catalog_normalizer_generators
+from gradelab.normalizers import (Permutation, PermutationGroup, quotient_group,
+                                  catalog_normalizer_generators)
 
 rng = random.Random(61909)
 
@@ -309,26 +310,47 @@ def test_solution_sets_are_invariant_under_their_quotients():
         assert is_invariant(solutions(name), quotient(name)), name
 
 
-def test_invariance_detects_a_broken_set():
-    s, q = system("g2"), quotient("g2")
-    full = solutions("g2").active_masks
-    for mask in full:
-        moved = False
-        for p in q.elements:
-            vp = pair_variable_permutation(p, s)
-            image = apply_variable_permutation(
-                np.array([mask], dtype=np.uint64), vp)
-            if image[0] != mask:
-                moved = True
-                break
-        if moved:
-            crippled = SolutionSet(s, np.array([mask], dtype=np.uint64))
-            assert not is_invariant(crippled, q)
-            for include_free in (False, True):
-                with pytest.raises(ValueError, match="not invariant"):
-                    symmetry_orbits(crippled, q, include_free=include_free)
-            return
+def _crippled(name):
+    """The solution set cut down to one pattern with a nontrivial orbit."""
+    s, q = system(name), quotient(name)
+    for mask in solutions(name).active_masks:
+        row = np.array([mask], dtype=np.uint64)
+        if any(apply_variable_permutation(row, pair_variable_permutation(p, s))[0] != mask
+               for p in q.elements):
+            return SolutionSet(s, row)
     raise AssertionError("no mask with a nontrivial orbit found")
+
+
+def test_invariance_detects_a_broken_set():
+    for name in ("g1", "g2"):
+        crippled, q = _crippled(name), quotient(name)
+        assert not is_invariant(crippled, q)
+        for include_free in (False, True):
+            with pytest.raises(ValueError, match="not invariant"):
+                symmetry_orbits(crippled, q, include_free=include_free)
+        with pytest.raises(ValueError, match="not invariant"):
+            burnside_orbit_count(crippled, q)
+
+
+def test_a_symmetry_moving_a_free_variable_is_refused():
+    # swapping parts 5 and 6 of g1 sends free pair variables to constrained ones
+    degree = catalog("g1").grading.num_parts
+    mapping = list(range(degree))
+    mapping[5], mapping[6] = 6, 5
+    swap = Permutation(mapping)
+    group = PermutationGroup(degree, [swap], [Permutation.identity(degree), swap])
+    s = system("g1")
+    assert set(pair_variable_permutation(swap, s)[f] for f in s.free) != set(s.free)
+    # the all-zero pattern alone is fixed by the swap, so only the check on
+    # the free variables refuses that set
+    zero = SolutionSet(s, np.zeros(1, dtype=np.uint64))
+    for solved in (solutions("g1"), zero):
+        assert not is_invariant(solved, group)
+        for include_free in (False, True):
+            with pytest.raises(ValueError, match="not invariant"):
+                symmetry_orbits(solved, group, include_free=include_free)
+        with pytest.raises(ValueError, match="not invariant"):
+            burnside_orbit_count(solved, group)
 
 
 def test_constrained_orbit_counts():

@@ -4,14 +4,13 @@ The JSON output is the behaviour contract of every subcommand, so these
 digests were taken once and must not change under a refactor.  A change in
 any of them means the printed result changed; it needs its own reason and a
 new digest, never an edit that keeps the test green.  Run in process via
-cli.main, as tests/test_cli.py does; the 29 invocations take about 25 s,
-selfcheck about 5 s of them.
+cli.main through the session's `run_cli` fixture (tests/conftest.py), so the
+selfcheck row and tests/test_acceptance.py share one selfcheck run; the 29
+invocations take about 25 s, selfcheck about 5 s of them.
 """
 import hashlib
 
 import pytest
-
-from gradelab import cli
 
 # (argv without --format json, exit code, sha256 of stdout)
 GOLDEN = [
@@ -78,8 +77,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, code, digest", GOLDEN,
                          ids=[row[0] for row in GOLDEN])
-def test_json_stdout_matches_golden_digest(capsys, argv, code, digest):
-    rc = cli.main(argv.split() + ["--format", "json"])
-    out = capsys.readouterr().out
+def test_json_stdout_matches_golden_digest(run_cli, argv, code, digest):
+    rc, out = run_cli(f"{argv} --format json")
     assert rc == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
