@@ -29,6 +29,7 @@ INNER = "inner"
 OUTER = "outer"
 
 DEFAULT_ORDER_CAP = 96
+CLOSURE_CAP = 10000  # most elements that a closure (`_bfs`) may hold
 
 
 class Automorphism:
@@ -182,13 +183,13 @@ class ClosureCapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _bfs(start, generators, step, key, cap: int, audit=None) -> dict:
+def _bfs(start, generators, step, key, audit=None) -> dict:
     """Breadth-first closure of start under step(generator, element).
 
     Returns {key(element): element} in discovery order.  Every candidate is
     first passed to audit(key, candidate, seen), if given; a candidate whose
     key is already seen is then dropped.  Raises ClosureCapExceeded rather
-    than hold more than cap elements.
+    than hold more than CLOSURE_CAP elements.
     """
     seen = {key(start): start}
     frontier = [start]
@@ -202,21 +203,21 @@ def _bfs(start, generators, step, key, cap: int, audit=None) -> dict:
                     audit(k, cand, seen)
                 if k in seen:
                     continue
-                if len(seen) >= cap:
-                    raise ClosureCapExceeded(cap)
+                if len(seen) >= CLOSURE_CAP:
+                    raise ClosureCapExceeded(CLOSURE_CAP)
                 seen[k] = cand
                 nxt.append(cand)
         frontier = nxt
     return seen
 
 
-def automorphism_closure(generators, cap: int = 10000) -> list[Automorphism]:
+def automorphism_closure(generators) -> list[Automorphism]:
     """All products of the given automorphisms (a finite group), BFS order."""
     gens = list(generators)
     if not gens:
         return []
     start = identity_automorphism(gens[0].algebra.n)
-    return list(_bfs(start, gens, compose, lambda f: f, cap))
+    return list(_bfs(start, gens, compose, lambda f: f))
 
 
 # --- the named 3x3 matrices used throughout the catalog ---------------------

@@ -195,6 +195,14 @@ def cmd_grading_show(args) -> int:
     return 0
 
 
+def _axiom_lines(cert) -> list:
+    """The verdict of a grading certificate, and its violating pair if any."""
+    lines = [f"grading axiom: {'holds' if cert.ok else 'FAILS'}"]
+    if not cert.ok:
+        lines.append(f"  violating part pair: {cert.violation}")
+    return lines
+
+
 def cmd_grading_verify(args) -> int:
     if args.catalog:
         g = catalog(args.catalog).grading
@@ -217,9 +225,7 @@ def cmd_grading_verify(args) -> int:
     lines = [f"parts: {g.num_parts}, dims {list(g.part_dims)}"]
     if digest:
         lines.append(f"input sha256: {digest}")
-    lines.append(f"grading axiom: {'holds' if cert.ok else 'FAILS'}")
-    if not cert.ok:
-        lines.append(f"  violating part pair: {cert.violation}")
+    lines += _axiom_lines(cert)
     if labels_ok is not None:
         lines.append(f"labels additive: {labels_ok}")
     _emit(args, lines, data)
@@ -270,9 +276,7 @@ def cmd_grading_coarsen(args) -> int:
     cert = verify_grading(coarse)
     lines = [f"coarsening of {args.catalog} by {list(partition)}:"]
     lines.extend(_grading_lines(f"{args.catalog} coarsened", coarse)[1:])
-    lines.append(f"grading axiom: {'holds' if cert.ok else 'FAILS'}")
-    if not cert.ok:
-        lines.append(f"  violating part pair: {cert.violation}")
+    lines += _axiom_lines(cert)
     data = {"catalog": args.catalog,
             "partition": [list(b) for b in partition],
             "dims": list(coarse.part_dims),
@@ -392,8 +396,8 @@ def cmd_contract_equations(args) -> int:
 
 
 def _mask_to_pair_map(system, mask: int) -> dict:
-    return {con.format_pair(p): (mask >> i) & 1
-            for i, p in enumerate(system.variables)}
+    return {con.format_pair(p): bit
+            for p, bit in system.mask_to_assignment(mask).items()}
 
 
 def cmd_contract_solve(args) -> int:

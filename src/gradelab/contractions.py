@@ -9,10 +9,16 @@ eps variables, so exact rank analysis of the T vectors determines which
 monomial relations are forced.  Over {0,1} every forced relation collapses
 to an equality chain between monomials (a weighted relation a*m1 + b*m2 =
 (a+b)*m3 with nonzero weights has only the constant binary solutions).
+So an `Equation` is always an equality chain; no other relation is
+generated.  Criterion 7 of `gradelab selfcheck` certifies that nothing is
+lost: on all four catalog gradings the sweep of the equations agrees with
+`sweep_oracle`, which reads only the Jacobi residuals, never the equations.
 
 The independent ground truth is `jacobi_oracle`, a direct Jacobi check on
 the contracted structure constants; the test suite verifies the generated
-system against it exhaustively over the constrained variables.
+system against it exhaustively over the constrained variables.  An
+assignment of the eps parameters is a bit mask: bit i is the value of
+`ContractionSystem.variables[i]`.
 """
 from __future__ import annotations
 
@@ -43,54 +49,9 @@ def format_pair(pair) -> str:
     return f"{{{format_label(pair[0])},{format_label(pair[1])}}}"
 
 
-class EpsilonAssignment:
-    """A symmetric {0,1} valuation of all unordered label pairs."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: dict):
-        normalized = {}
-        for (a, b), bit in values.items():
-            if bit not in (0, 1):
-                raise ValueError("epsilon values must be 0 or 1")
-            normalized[pair_key(a, b)] = bit
-        object.__setattr__(self, "values", normalized)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsilonAssignment is immutable")
-
-    @classmethod
-    def constant(cls, labels, bit: int) -> "EpsilonAssignment":
-        labels = list(labels)
-        return cls({pair_key(a, b): bit
-                    for i, a in enumerate(labels) for b in labels[i:]})
-
-    def of(self, a, b) -> int:
-        return self.values[pair_key(a, b)]
-
-    def __getitem__(self, pair) -> int:
-        return self.values[pair_key(*pair)]
-
-    def __eq__(self, other):
-        if not isinstance(other, EpsilonAssignment):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash(frozenset(self.values.items()))
-
-    def to_json(self) -> list:
-        return [[list(a), list(b), bit]
-                for (a, b), bit in sorted(self.values.items())]
-
-    def __repr__(self):
-        ones = sum(self.values.values())
-        return f"EpsilonAssignment({ones} of {len(self.values)} pairs on)"
-
-
 @dataclass(frozen=True)
 class Equation:
-    """All listed monomials take a common value (or, if rhs_zero, value 0).
+    """All listed monomials take a common value: an equality chain.
 
     A monomial is a pair (u, v) of variable indices, u <= v, standing for
     the product eps_u * eps_v.  Provenance records one basis triple that
@@ -99,14 +60,12 @@ class Equation:
     """
 
     monomials: tuple
-    rhs_zero: bool
     triple: tuple
     pivot_coords: tuple
     rank: int
 
     def __str__(self):
-        body = " = ".join(f"m({u},{v})" for u, v in self.monomials)
-        return body + (" = 0" if self.rhs_zero else "")
+        return " = ".join(f"m({u},{v})" for u, v in self.monomials)
 
 
 class ContractionSystem:
@@ -139,15 +98,9 @@ class ContractionSystem:
     def num_variables(self) -> int:
         return len(self.variables)
 
-    def mask_to_assignment(self, mask: int) -> EpsilonAssignment:
-        return EpsilonAssignment({p: (mask >> i) & 1
-                                  for i, p in enumerate(self.variables)})
-
-    def assignment_to_mask(self, eps: EpsilonAssignment) -> int:
-        mask = 0
-        for i, p in enumerate(self.variables):
-            mask |= eps[p] << i
-        return mask
+    def mask_to_assignment(self, mask: int) -> dict:
+        """{pair: bit}: variable i reads bit i of the mask."""
+        return {p: (mask >> i) & 1 for i, p in enumerate(self.variables)}
 
     def to_json(self) -> dict:
         return {
@@ -155,7 +108,7 @@ class ContractionSystem:
             "free_variables": list(self.free),
             "equations": [{
                 "monomials": [list(m) for m in eq.monomials],
-                "rhs_zero": eq.rhs_zero,
+                "rhs_zero": False,
                 "triple": list(eq.triple),
                 "pivot_coords": list(eq.pivot_coords),
                 "rank": eq.rank,
@@ -257,7 +210,7 @@ def generate_equations(g: Grading) -> ContractionSystem:
         _, pivots = Matrix.from_rows(coeffs.values()).rref()
         key = monomials
         if key not in seen:
-            eq = Equation(monomials=monomials, rhs_zero=False,
+            eq = Equation(monomials=monomials,
                           triple=(names[a], names[b], names[c]),
                           pivot_coords=pivots, rank=len(pivots))
             seen[key] = eq
@@ -283,13 +236,15 @@ def _allowed_mask(terms) -> int:
 # --- the contracted algebra and its Jacobi oracle ----------------------------
 
 class ContractedStructure:
-    """Structure constants of the grading-adapted basis with scaled blocks."""
+    """Structure constants of the grading-adapted basis with scaled blocks.
 
-    __slots__ = ("dim", "basis_names", "_table")
+    A bracket (i, j), i < j, missing from the table is zero.
+    """
 
-    def __init__(self, dim: int, basis_names, table: dict):
+    __slots__ = ("dim", "_table")
+
+    def __init__(self, dim: int, table: dict):
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis_names", tuple(basis_names))
         object.__setattr__(self, "_table", table)
 
     def __setattr__(self, name, value):
@@ -306,8 +261,9 @@ class ContractedStructure:
 
 @lru_cache(maxsize=8)
 def _uncontracted_adapted(g: Grading):
-    """Brackets of the adapted basis in its own coordinates, plus part labels."""
-    vectors, part_of, names = _adapted_basis(g)
+    """Part index of each adapted basis vector, and the brackets of the
+    adapted basis in its own coordinates."""
+    vectors, part_of, _ = _adapted_basis(g)
     dim = g.algebra.dim
     basis_matrix = Matrix(dim, dim,
                           [vectors[r][c] for r in range(dim) for c in range(dim)])
@@ -319,22 +275,20 @@ def _uncontracted_adapted(g: Grading):
             coords = to_adapted.apply(br)
             entry = {k: c for k, c in enumerate(coords) if not c.is_zero()}
             table[(i, j)] = entry
-    return vectors, part_of, tuple(names), table
+    return part_of, table
 
 
-def contracted_structure(g: Grading, eps: EpsilonAssignment) -> ContractedStructure:
-    """Structure constants with each block (i,j) scaled by eps of its labels."""
+def contracted_structure(g: Grading, eps: dict) -> ContractedStructure:
+    """Structure constants with each block (i,j) scaled by the bit of its
+    label pair in `eps`, a {pair_key: bit} dict as `mask_to_assignment`
+    returns: the blocks switched on are kept, the others dropped."""
     if g.labels is None:
         raise ValueError("grading must be labeled to contract it")
-    _, part_of, names, table = _uncontracted_adapted(g)
-    scaled = {}
-    for (i, j), entry in table.items():
-        bit = eps.of(g.labels[part_of[i]], g.labels[part_of[j]])
-        if bit:
-            scaled[(i, j)] = entry
-        else:
-            scaled[(i, j)] = {}
-    return ContractedStructure(g.algebra.dim, names, scaled)
+    part_of, table = _uncontracted_adapted(g)
+    label_of = [g.labels[part] for part in part_of]
+    kept = {(i, j): entry for (i, j), entry in table.items()
+            if eps[pair_key(label_of[i], label_of[j])]}
+    return ContractedStructure(g.algebra.dim, kept)
 
 
 def jacobi_oracle(candidate: ContractedStructure) -> bool:
@@ -396,14 +350,9 @@ def sweep_equations(system: ContractionSystem) -> np.ndarray:
     """
     def narrow(cols, ok):
         for eq in system.equations:
-            vals = [cols[u] & cols[v] for u, v in eq.monomials]
-            if eq.rhs_zero:
-                for val in vals:
-                    ok &= ~val
-            else:
-                first = vals[0]
-                for val in vals[1:]:
-                    ok &= ~(first ^ val)
+            first, *rest = [cols[u] & cols[v] for u, v in eq.monomials]
+            for val in rest:
+                ok &= ~(first ^ val)
             if not ok.any():
                 return
 
@@ -459,8 +408,8 @@ class SolutionSet:
 
     Stores one mask per solution of the constrained (active) variables; the
     free variables never occur in an equation, so the full set is the
-    product of the stored masks with every free-bit pattern.  Iteration and
-    membership honor the full product set.
+    product of the stored masks with every free-bit pattern.  `masks` and
+    `contains_mask` honor the full product set.
     """
 
     __slots__ = ("system", "active_masks")
@@ -488,9 +437,6 @@ class SolutionSet:
         return bool(idx < self.active_masks.shape[0]
                     and self.active_masks[idx] == active_part)
 
-    def __contains__(self, eps: EpsilonAssignment) -> bool:
-        return self.contains_mask(self.system.assignment_to_mask(eps))
-
     def free_cube(self) -> np.ndarray:
         """Every free-bit pattern, in binary counting order (first free bit
         lowest); [0] when no variable is free."""
@@ -499,31 +445,11 @@ class SolutionSet:
             cube += [bits | 1 << f for bits in cube]
         return np.array(cube, dtype=np.uint64)
 
-    def masks(self, limit: int | None = None):
+    def masks(self):
         """Full solution masks, lazily, as Python ints: each active pattern in
         turn (row-major), combined with every pattern of `free_cube`."""
         cube = self.free_cube().tolist()
-        full = (base | bits for base in self.active_masks.tolist() for bits in cube)
-        return itertools.islice(full, limit)
-
-    def assignments(self, limit: int | None = None):
-        for mask in self.masks(limit):
-            yield self.system.mask_to_assignment(mask)
-
-    def __iter__(self):
-        return self.assignments()
-
-    def to_json(self, expand_limit: int = 0) -> dict:
-        data = {
-            "variables": [[list(a), list(b)] for a, b in self.system.variables],
-            "free_variables": list(self.system.free),
-            "active_solution_masks": [int(m) for m in self.active_masks],
-            "total_solutions": len(self),
-        }
-        if expand_limit:
-            data["solutions"] = [a.to_json()
-                                 for a in self.assignments(expand_limit)]
-        return data
+        return (base | bits for base in self.active_masks.tolist() for bits in cube)
 
     def __repr__(self):
         return (f"SolutionSet({self.active_count} constrained patterns x "
@@ -544,18 +470,16 @@ def _node_cap_from_env() -> int:
     return cap
 
 
-def solve_binary(system: ContractionSystem,
-                 node_cap: int | None = None) -> SolutionSet:
+def solve_binary(system: ContractionSystem) -> SolutionSet:
     """Enumerate every binary solution by DFS with unit propagation.
 
     Branches on the constrained variables only (most-constrained-first,
     index as tie-break); free variables are carried symbolically by the
     returned SolutionSet.  Raises NodeCapExceeded past the node budget
-    (argument, else the GRADELAB_NODE_CAP environment variable, else a
-    built-in default); the budget covers the whole search.
+    (the GRADELAB_NODE_CAP environment variable, else DEFAULT_NODE_CAP);
+    the budget covers the whole search.
     """
-    if node_cap is None:
-        node_cap = _node_cap_from_env()
+    node_cap = _node_cap_from_env()
 
     active = list(system.active)
     var_slot = {v: s for s, v in enumerate(active)}
@@ -576,12 +500,9 @@ def solve_binary(system: ContractionSystem,
         if rx != ry:
             parent[rx] = ry
 
-    zero_monos = set()
     for eq in system.equations:
         for mono in eq.monomials:
             parent.setdefault(mono, mono)
-        if eq.rhs_zero:
-            zero_monos.update(eq.monomials)
         first = eq.monomials[0]
         for mono in eq.monomials[1:]:
             union(first, mono)
@@ -594,9 +515,6 @@ def solve_binary(system: ContractionSystem,
     for ci, monos in enumerate(comp_list):
         for mono in monos:
             comp_of_mono[mono] = ci
-    forced_zero = [False] * len(comp_list)
-    for mono in zero_monos:
-        forced_zero[comp_of_mono[mono]] = True
 
     monos_of_var: list = [[] for _ in range(n)]
     for mono in parent:
@@ -609,7 +527,7 @@ def solve_binary(system: ContractionSystem,
     branch_order = sorted(range(n), key=lambda s: (-occurrence[s], s))
 
     values = [-1] * n           # per active slot
-    comp_values = [0 if z else -1 for z in forced_zero]
+    comp_values = [-1] * len(comp_list)
     solutions: list = []
     nodes = 0
 

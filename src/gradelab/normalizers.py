@@ -18,8 +18,6 @@ from .autgrp import (Automorphism, ClosureCapExceeded, _bfs, compose,
 from .gradings import Grading, MadGroupSpec, _part_maps, verify_grading
 from .linalg import Subspace
 
-DEFAULT_CLOSURE_CAP = 10000
-
 
 class Permutation:
     """Bijection on {0..n-1}, stored as the image tuple."""
@@ -187,7 +185,7 @@ def induced_permutation(h: Automorphism, g: Grading) -> Permutation:
     return Permutation(mapping)
 
 
-def _closure(spec: MadGroupSpec, g: Grading, normalizer_gens, cap: int):
+def _closure(spec: MadGroupSpec, g: Grading, normalizer_gens):
     """BFS closure of induced permutations with parity and witness tracking.
 
     Every collision yields a word with trivial permutation (a Schreier
@@ -232,19 +230,18 @@ def _closure(spec: MadGroupSpec, g: Grading, normalizer_gens, cap: int):
         perm, parity, witness = state
         return hperm.compose(perm), parity ^ hparity, compose(h, witness)
 
-    seen = _bfs(start, gen_data, step, lambda state: state[:2], cap, audit)
+    seen = _bfs(start, gen_data, step, lambda state: state[:2], audit)
     states = {key: state[2] for key, state in seen.items()}
     return states, gen_data
 
 
-def _quotient_and_inner(spec: MadGroupSpec, g: Grading, normalizer_gens,
-                        cap: int = DEFAULT_CLOSURE_CAP) -> tuple:
+def _quotient_and_inner(spec: MadGroupSpec, g: Grading, normalizer_gens) -> tuple:
     """The quotient and its inner subquotient, both from one closure.
 
     The inner subquotient is the parity-0 slice of the closure's states,
     generated by the parity-0 generators.
     """
-    states, gen_data = _closure(spec, g, normalizer_gens, cap)
+    states, gen_data = _closure(spec, g, normalizer_gens)
 
     def group(parities):
         records = [QuotientElement(perm, parity, witness)
@@ -256,16 +253,14 @@ def _quotient_and_inner(spec: MadGroupSpec, g: Grading, normalizer_gens,
     return group((0, 1)), group((0,))
 
 
-def quotient_group(spec: MadGroupSpec, g: Grading, normalizer_gens,
-                   cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
+def quotient_group(spec: MadGroupSpec, g: Grading, normalizer_gens) -> PermutationGroup:
     """The quotient N(G)/G as a permutation group on grading parts."""
-    return _quotient_and_inner(spec, g, normalizer_gens, cap)[0]
+    return _quotient_and_inner(spec, g, normalizer_gens)[0]
 
 
-def inner_subquotient(spec: MadGroupSpec, g: Grading, normalizer_gens,
-                      cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
+def inner_subquotient(spec: MadGroupSpec, g: Grading, normalizer_gens) -> PermutationGroup:
     """The subgroup of the quotient reachable by inner words (parity 0)."""
-    return _quotient_and_inner(spec, g, normalizer_gens, cap)[1]
+    return _quotient_and_inner(spec, g, normalizer_gens)[1]
 
 
 def support_group(g: Grading) -> PermutationGroup:

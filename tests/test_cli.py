@@ -72,6 +72,9 @@ def test_verify_flags_a_broken_decomposition(capsys, tmp_path):
     assert rc == 1
     assert report["is_grading"] is False
     assert report["violation"] is not None
+    rc, out = run(capsys, "grading", "verify", "--input", str(path))
+    assert rc == 1
+    assert "\ngrading axiom: FAILS\n  violating part pair: (0, 3)\n" in out
 
 
 def test_label_search_exit_codes(capsys):
@@ -90,11 +93,14 @@ def test_coarsen_keeps_or_breaks_the_axiom(capsys):
     assert rc == 0
     assert report["is_grading"] is True
     assert sorted(report["dims"], reverse=True) == [2, 2, 1, 1, 1, 1]
-    rc, report = run_json(capsys, "grading", "coarsen", "--catalog", "g4",
-                          "--merge", "0,1", "--merge", "2,3",
-                          "--merge", "4,7", "--merge", "5,6")
+    rc, out = run(capsys, "grading", "coarsen", "--catalog", "g1", "--merge", "1,6")
+    assert out.endswith("\ngrading axiom: holds\n")
+    broken = ("--merge", "0,1", "--merge", "2,3", "--merge", "4,7", "--merge", "5,6")
+    rc, report = run_json(capsys, "grading", "coarsen", "--catalog", "g4", *broken)
     assert rc == 1
     assert report["is_grading"] is False
+    rc, out = run(capsys, "grading", "coarsen", "--catalog", "g4", *broken)
+    assert out.endswith("\ngrading axiom: FAILS\n  violating part pair: (0, 1)\n")
 
 
 def test_normalizer_check_verdicts(capsys):

@@ -289,16 +289,18 @@ def test_closure_cap_is_enforced(monkeypatch):
     # the quotient closure, the automorphism closure and check 5's
     # permutation closure share one capped BFS and one cap exception
     entry = catalog("g2")
+    bench = selfcheck._Workbench()
+    bench.inner("g1")  # closed under the real cap, so check 5 reaches its own BFS
+    monkeypatch.setattr(autgrp, "CLOSURE_CAP", 3)
     with pytest.raises(ClosureCapExceeded) as info:
         quotient_group(entry.spec, entry.grading,
-                       catalog_normalizer_generators("g2"), cap=3)
+                       catalog_normalizer_generators("g2"))
     assert info.value.cap == 3
     with pytest.raises(ClosureCapExceeded) as info:
-        automorphism_closure(entry.spec.separating_generators, cap=3)
+        automorphism_closure(entry.spec.separating_generators)
     assert info.value.cap == 3
-    monkeypatch.setattr(selfcheck, "DEFAULT_CLOSURE_CAP", 3)
     with pytest.raises(ClosureCapExceeded) as info:
-        selfcheck.check_5(selfcheck._Workbench())
+        selfcheck.check_5(bench)
     assert info.value.cap == 3
 
 
