@@ -21,7 +21,7 @@ from .gradings import (AbelianGroup, Grading, catalog, coarsen, format_label,
                        search_labeling, verify_grading, verify_labeling,
                        CATALOG_NAMES)
 from .liealg import parse_element, special_linear
-from .linalg import as_cyclo
+from .linalg import Subspace, as_cyclo
 from .normalizers import (CATALOG_NORMALIZER_GENERATORS,
                           catalog_normalizer_generators, induced_permutation,
                           inner_subquotient, linearize_on_labels, normalizes,
@@ -144,15 +144,14 @@ def _load_grading(path: str):
             data = data["grading"]
         _check_algebra_size(int(data["n"]))
         algebra = special_linear(int(data["n"]))
-        parts_json = []
-        for part in data["parts"]:
-            rows = [_element_row(r, algebra) for r in part["basis"]]
-            parts_json.append({
-                "ambient_dim": part.get("ambient_dim", algebra.dim),
-                "basis": [[v.to_json() for v in row] for row in rows]})
-        grading = Grading.from_json({"n": data["n"], "parts": parts_json,
-                                     "group": data.get("group"),
-                                     "labels": data.get("labels")})
+        parts = [Subspace.from_vectors(int(part.get("ambient_dim", algebra.dim)),
+                                       [_element_row(r, algebra) for r in part["basis"]])
+                 for part in data["parts"]]
+        group = labels = None
+        if data.get("group") is not None:
+            group = AbelianGroup(data["group"])
+            labels = [tuple(l) for l in data["labels"]]
+        grading = Grading(algebra, parts, group, labels)
     except _MALFORMED as exc:
         raise _malformed("grading", path, exc) from None
     return grading, digest
@@ -401,6 +400,8 @@ def _mask_to_pair_map(system, mask: int) -> dict:
 
 
 def cmd_contract_solve(args) -> int:
+    if args.limit < 0:
+        raise ValueError(f"--limit must be 0 (all) or a positive count, not {args.limit}")
     g = catalog(args.catalog).grading
     system = con.generate_equations(g)
     solved = con.solve_binary(system)
@@ -591,9 +592,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # a bad value from outside (an option, a file, GRADELAB_NODE_CAP) is
-        # a usage error, not a negative verdict
+    except (ValueError, con.NodeCapExceeded) as exc:
+        # a bad value from outside (an option, a file, GRADELAB_NODE_CAP), or
+        # a solve past that node budget, is a usage error, not a negative verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,10 @@ lost: on all four catalog gradings the sweep of the equations agrees with
 `sweep_oracle`, which reads only the Jacobi residuals, never the equations.
 
 The independent ground truth is `jacobi_oracle`, a direct Jacobi check on
-the contracted structure constants; the test suite verifies the generated
-system against it exhaustively over the constrained variables.  An
+the contracted structure constants: the `liealg.StructureTable` of the
+grading-adapted basis with the blocks switched off dropped
+(`contracted_structure`).  The test suite verifies the generated system
+against it exhaustively over the constrained variables.  An
 assignment of the eps parameters is a bit mask: bit i is the value of
 `ContractionSystem.variables[i]`.
 """
@@ -30,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import Matrix, vec_is_zero
-from .liealg import jacobi_table_holds
+from .liealg import StructureTable, jacobi_table_holds
 from .gradings import Grading, format_label
 from .normalizers import Permutation, PermutationGroup
 
@@ -235,50 +237,25 @@ def _allowed_mask(terms) -> int:
 
 # --- the contracted algebra and its Jacobi oracle ----------------------------
 
-class ContractedStructure:
-    """Structure constants of the grading-adapted basis with scaled blocks.
-
-    A bracket (i, j), i < j, missing from the table is zero.
-    """
-
-    __slots__ = ("dim", "_table")
-
-    def __init__(self, dim: int, table: dict):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContractedStructure is immutable")
-
-    def table(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return self._table.get((i, j), {})
-        flipped = self._table.get((j, i), {})
-        return {k: -c for k, c in flipped.items()}
-
-
 @lru_cache(maxsize=8)
 def _uncontracted_adapted(g: Grading):
-    """Part index of each adapted basis vector, and the brackets of the
-    adapted basis in its own coordinates."""
+    """Part index of each adapted basis vector, and the `StructureTable` of
+    the adapted basis in its own coordinates."""
     vectors, part_of, _ = _adapted_basis(g)
     dim = g.algebra.dim
     basis_matrix = Matrix(dim, dim,
                           [vectors[r][c] for r in range(dim) for c in range(dim)])
     to_adapted = basis_matrix.inverse().transpose()
-    table = {}
+    upper = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             br = g.algebra.bracket_coords(vectors[i], vectors[j])
             coords = to_adapted.apply(br)
-            entry = {k: c for k, c in enumerate(coords) if not c.is_zero()}
-            table[(i, j)] = entry
-    return part_of, table
+            upper[(i, j)] = {k: c for k, c in enumerate(coords) if not c.is_zero()}
+    return part_of, StructureTable(dim, upper)
 
 
-def contracted_structure(g: Grading, eps: dict) -> ContractedStructure:
+def contracted_structure(g: Grading, eps: dict) -> StructureTable:
     """Structure constants with each block (i,j) scaled by the bit of its
     label pair in `eps`, a {pair_key: bit} dict as `mask_to_assignment`
     returns: the blocks switched on are kept, the others dropped."""
@@ -286,14 +263,13 @@ def contracted_structure(g: Grading, eps: dict) -> ContractedStructure:
         raise ValueError("grading must be labeled to contract it")
     part_of, table = _uncontracted_adapted(g)
     label_of = [g.labels[part] for part in part_of]
-    kept = {(i, j): entry for (i, j), entry in table.items()
-            if eps[pair_key(label_of[i], label_of[j])]}
-    return ContractedStructure(g.algebra.dim, kept)
+    return StructureTable(table.dim, {(i, j): entry for (i, j), entry in table.upper.items()
+                                      if eps[pair_key(label_of[i], label_of[j])]})
 
 
-def jacobi_oracle(candidate: ContractedStructure) -> bool:
+def jacobi_oracle(candidate: StructureTable) -> bool:
     """Ground truth: does the scaled bracket satisfy the Jacobi identity."""
-    return jacobi_table_holds(candidate.dim, candidate.table)
+    return jacobi_table_holds(candidate)
 
 
 # --- exhaustive binary sweeps (numpy) ----------------------------------------
@@ -396,7 +372,7 @@ def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
 class NodeCapExceeded(RuntimeError):
     def __init__(self, cap: int, nodes: int, solutions_so_far: int):
         super().__init__(
-            f"solver exceeded the node cap ({nodes} >= {cap}); "
+            f"solver exceeded the node cap of {cap} ({NODE_CAP_ENV}) at {nodes} nodes; "
             f"{solutions_so_far} solutions found before stopping")
         self.cap = cap
         self.nodes = nodes

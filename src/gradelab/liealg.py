@@ -2,7 +2,10 @@
 
 Basis order: E_ij for i != j (row-major over the off-diagonal positions),
 followed by H_k = E_kk - E_(k+1)(k+1) for k = 1..n-1.  Structure constants
-are computed once per n and cached.
+are computed once per n and cached.  `StructureTable` is the one bracket
+table type: sl(n) keeps its structure constants in one, and so do the
+grading-adapted and contracted tables of `contractions`.  An element is a
+coordinate tuple; `LieAlgebra.bracket_coords` is the bracket.
 """
 from __future__ import annotations
 
@@ -19,10 +22,45 @@ from .linalg import Matrix, as_cyclo
 SparseVec = dict
 
 
-class LieAlgebra:
-    """sl(n,C) with a fixed ordered basis and cached structure constants."""
+class StructureTable:
+    """An immutable sparse antisymmetric bracket table on a basis b_0..b_(dim-1).
 
-    __slots__ = ("n", "dim", "basis", "basis_names", "_table", "_offdiag_index")
+    Built from the brackets [b_i, b_j] with i < j; both orientations are
+    stored, so calling `table(i, j)` for the sparse coordinates of
+    [b_i, b_j] is one dict lookup (an empty dict when the bracket is zero).
+    """
+
+    __slots__ = ("dim", "_entries")
+
+    def __init__(self, dim: int, upper: dict):
+        entries = {}
+        for (i, j), entry in upper.items():
+            if entry:
+                entries[(i, j)] = entry
+                entries[(j, i)] = {k: -c for k, c in entry.items()}
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StructureTable is immutable")
+
+    def __call__(self, i: int, j: int) -> SparseVec:
+        return self._entries.get((i, j), {})
+
+    @property
+    def upper(self) -> dict:
+        """The nonzero brackets [b_i, b_j] with i < j."""
+        return {(i, j): entry for (i, j), entry in self._entries.items() if i < j}
+
+
+class LieAlgebra:
+    """sl(n,C) with a fixed ordered basis and cached structure constants.
+
+    `structure_constant` is the algebra's `StructureTable`:
+    `structure_constant(i, j)` is the sparse coordinates of [b_i, b_j].
+    """
+
+    __slots__ = ("n", "dim", "basis", "basis_names", "structure_constant")
 
     def __init__(self, n: int) -> None:
         if n < 2:
@@ -31,11 +69,9 @@ class LieAlgebra:
         object.__setattr__(self, "dim", n * n - 1)
         names = []
         basis = []
-        offdiag = {}
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    offdiag[(i, j)] = len(basis)
                     names.append(f"E{i + 1}{j + 1}")
                     basis.append(Matrix(n, n, [1 if (r, c) == (i, j) else 0
                                                for r in range(n) for c in range(n)]))
@@ -46,31 +82,20 @@ class LieAlgebra:
                                        for r in range(n) for c in range(n)]))
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "basis_names", tuple(names))
-        object.__setattr__(self, "_offdiag_index", offdiag)
-        table = {}
+        upper = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 prod = basis[i] * basis[j] - basis[j] * basis[i]
                 entry = self.from_matrix(prod)
-                sparse = {k: c for k, c in enumerate(entry) if not c.is_zero()}
-                if sparse:
-                    table[(i, j)] = sparse
-        object.__setattr__(self, "_table", table)
+                upper[(i, j)] = {k: c for k, c in enumerate(entry) if not c.is_zero()}
+        object.__setattr__(self, "structure_constant", StructureTable(self.dim, upper))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
-    def structure_constant(self, i: int, j: int) -> SparseVec:
-        """Sparse coordinates of [b_i, b_j]."""
-        if i == j:
-            return {}
-        if i < j:
-            return self._table.get((i, j), {})
-        flipped = self._table.get((j, i), {})
-        return {k: -c for k, c in flipped.items()}
-
     def bracket_coords(self, x, y) -> tuple:
         """Bracket of two coordinate vectors, as a coordinate vector."""
+        table = self.structure_constant
         acc: dict[int, CycloNumber] = {}
         for i, xi in enumerate(x):
             if xi.is_zero():
@@ -78,7 +103,7 @@ class LieAlgebra:
             for j, yj in enumerate(y):
                 if yj.is_zero():
                     continue
-                entry = self.structure_constant(i, j)
+                entry = table(i, j)
                 if not entry:
                     continue
                 coeff = xi * yj
@@ -133,58 +158,19 @@ def special_linear(n: int) -> LieAlgebra:
 
 @dataclass(frozen=True)
 class AlgebraElement:
+    """A parsed element: its algebra and its coordinate tuple."""
+
     algebra: LieAlgebra
     coords: tuple
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a - b for a, b in zip(self.coords, other.coords)))
+def jacobi_table_holds(table: StructureTable) -> bool:
+    """Exhaustive Jacobi check of a bracket table.
 
-    def __neg__(self):
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coords))
-
-    def scale(self, scalar) -> "AlgebraElement":
-        scalar = as_cyclo(scalar)
-        return AlgebraElement(self.algebra, tuple(scalar * a for a in self.coords))
-
-    def bracket(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.algebra,
-                              self.algebra.bracket_coords(self.coords, other.coords))
-
-    def to_matrix(self) -> Matrix:
-        return self.algebra.to_matrix(self.coords)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def _check(self, other):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise ValueError("elements of different algebras")
-
-    def __repr__(self):
-        terms = [f"{c!r}*{n}" for c, n in zip(self.coords, self.algebra.basis_names)
-                 if not c.is_zero()]
-        return " + ".join(terms) if terms else "0"
-
-
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x.bracket(y)
-
-
-def jacobi_table_holds(dim: int, table) -> bool:
-    """Exhaustive Jacobi check for an arbitrary antisymmetric bracket table.
-
-    `table(i, j)` must return the sparse coordinates of [b_i, b_j].  Checks
-    [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j] = 0 over all i<j<k
-    (triples with a repeated index vanish by antisymmetry).
+    Checks [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j] = 0 over all
+    i<j<k (triples with a repeated index vanish by antisymmetry).
     """
+    dim = table.dim
     def double(first: SparseVec, outer: int) -> SparseVec:
         acc: dict[int, CycloNumber] = {}
         for m, c in first.items():

@@ -307,6 +307,20 @@ def test_bad_node_cap_is_a_one_line_usage_error(capsys, monkeypatch, value):
         f"error: GRADELAB_NODE_CAP must be a positive integer, not {value!r}\n"
 
 
+def test_solve_past_the_node_cap_is_a_one_line_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("GRADELAB_NODE_CAP", "5")
+    for argv in (["contract", "solve", "--catalog", "g1"],
+                 ["selfcheck", "--only", "7", "--format", "json"]):
+        err = assert_one_line_usage_error(capsys, argv)
+        assert err.startswith("error: solver exceeded the node cap of 5 (GRADELAB_NODE_CAP)")
+
+
+def test_negative_limit_is_a_one_line_usage_error(capsys):
+    err = assert_one_line_usage_error(
+        capsys, ["contract", "solve", "--catalog", "g1", "--limit", "-3"])
+    assert err == "error: --limit must be 0 (all) or a positive count, not -3\n"
+
+
 def test_algebra_above_the_size_cap_is_a_one_line_usage_error(capsys, tmp_path):
     n = 40
     assert n > cli.MAX_ALGEBRA_N

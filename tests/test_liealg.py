@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gradelab.cyclo import CycloNumber
-from gradelab.liealg import (AlgebraElement, bracket,
-                             jacobi_table_holds, parse_element, special_linear)
+from gradelab.liealg import (StructureTable, jacobi_table_holds, parse_element,
+                             special_linear)
 from gradelab.linalg import as_cyclo
 
 rng = random.Random(35203)
@@ -14,13 +13,20 @@ rng = random.Random(35203)
 sl3 = special_linear(3)
 
 
-def element(name):
-    return parse_element(name, sl3)
+def coords(name):
+    return parse_element(name, sl3).coords
 
 
-def rand_element(algebra=sl3):
-    return AlgebraElement(algebra, tuple(
-        as_cyclo(Fraction(rng.randint(-4, 4))) for _ in range(algebra.dim)))
+def rand_coords(algebra=sl3):
+    return tuple(as_cyclo(Fraction(rng.randint(-4, 4))) for _ in range(algebra.dim))
+
+
+def add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def is_zero(x):
+    return all(c.is_zero() for c in x)
 
 
 def test_basis_order_and_dimension():
@@ -31,43 +37,40 @@ def test_basis_order_and_dimension():
 
 def test_hand_checked_brackets():
     # [E12, E21] = H1, [H1, E12] = 2 E12, [E12, E23] = E13
-    assert bracket(element("E12"), element("E21")).coords == \
-        element("H1").coords
-    assert bracket(element("H1"), element("E12")).coords == \
-        element("2*E12").coords
-    assert bracket(element("E12"), element("E23")).coords == \
-        element("E13").coords
+    assert sl3.bracket_coords(coords("E12"), coords("E21")) == coords("H1")
+    assert sl3.bracket_coords(coords("H1"), coords("E12")) == coords("2*E12")
+    assert sl3.bracket_coords(coords("E12"), coords("E23")) == coords("E13")
     # Cartan elements commute
-    assert bracket(element("H1"), element("H2")).is_zero()
+    assert is_zero(sl3.bracket_coords(coords("H1"), coords("H2")))
 
 
 def test_bracket_antisymmetry_and_bilinearity():
     for _ in range(80):
-        x, y = rand_element(), rand_element()
-        assert (x.bracket(y) + y.bracket(x)).is_zero()
-        z = rand_element()
-        lhs = (x + y).bracket(z)
-        rhs = x.bracket(z) + y.bracket(z)
-        assert lhs.coords == rhs.coords
+        x, y = rand_coords(), rand_coords()
+        assert is_zero(add(sl3.bracket_coords(x, y), sl3.bracket_coords(y, x)))
+        z = rand_coords()
+        lhs = sl3.bracket_coords(add(x, y), z)
+        rhs = add(sl3.bracket_coords(x, z), sl3.bracket_coords(y, z))
+        assert lhs == rhs
 
 
 def test_jacobi_identity_of_the_algebra():
     for alg in (sl3, special_linear(2)):
-        assert jacobi_table_holds(alg.dim, alg.structure_constant)
+        assert jacobi_table_holds(alg.structure_constant)
 
 
 def test_matrix_round_trip():
     for _ in range(30):
-        x = rand_element()
-        assert sl3.from_matrix(x.to_matrix()) == x.coords
+        x = rand_coords()
+        assert sl3.from_matrix(sl3.to_matrix(x)) == x
 
 
 def test_bracket_matches_matrix_commutator():
     for _ in range(30):
-        x, y = rand_element(), rand_element()
-        lhs = x.bracket(y).to_matrix()
-        rhs = x.to_matrix() * y.to_matrix() - y.to_matrix() * x.to_matrix()
-        assert lhs == rhs
+        x, y = rand_coords(), rand_coords()
+        lhs = sl3.to_matrix(sl3.bracket_coords(x, y))
+        mx, my = sl3.to_matrix(x), sl3.to_matrix(y)
+        assert lhs == mx * my - my * mx
 
 
 def test_traceless_enforced():
@@ -78,23 +81,22 @@ def test_traceless_enforced():
 
 def test_jacobi_table_rejects_perturbation():
     # breaking one structure constant must be detected
-    def broken(i, j):
-        entry = dict(sl3.structure_constant(i, j))
-        if (i, j) == (0, 2):
-            entry[0] = as_cyclo(1) + entry.get(0, as_cyclo(0))
-        return entry
-
-    assert jacobi_table_holds(8, sl3.structure_constant)
-    assert not jacobi_table_holds(8, broken)
+    upper = sl3.structure_constant.upper
+    entry = dict(upper[(0, 2)])
+    entry[0] = as_cyclo(1) + entry.get(0, as_cyclo(0))
+    upper[(0, 2)] = entry
+    assert jacobi_table_holds(sl3.structure_constant)
+    assert not jacobi_table_holds(StructureTable(8, upper))
 
 
 def test_parse_element_round_trip():
-    for text, coords_name in [("E12", "E12"), ("H1+H2", None),
-                              ("1/2 E13 - E32", None)]:
+    for text in ("E12", "H1+H2", "1/2 E13 - E32"):
         x = parse_element(text, sl3)
-        assert not x.is_zero()
-    assert parse_element("E21 + E12", sl3).coords == \
-        (parse_element("E12", sl3) + parse_element("E21", sl3)).coords
+        assert x.algebra is sl3 and not is_zero(x.coords)
+    assert coords("E21 + E12") == add(coords("E12"), coords("E21"))
+    assert coords("1/2 E13 - E32") == tuple(
+        as_cyclo(Fraction(1, 2)) if name == "E13" else as_cyclo(-1) if name == "E32"
+        else as_cyclo(0) for name in sl3.basis_names)
 
 
 def test_parse_element_rejects_garbage():

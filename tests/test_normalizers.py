@@ -213,6 +213,21 @@ def test_inner_subquotients():
     assert group_exponent(i4) == 12
 
 
+def test_quotient_records_carry_certified_witness_words():
+    # each coset's witness word normalizes G, induces the coset's
+    # permutation, and is inner exactly when the record's parity is 0
+    for name, expected in COMPUTED_QUOTIENT_ORDERS.items():
+        entry = catalog(name)
+        q = quotient(name)
+        assert len(q.records) == expected, name
+        assert {r.permutation for r in q.records} == set(q.elements), name
+        for record in q.records:
+            assert normalizes(record.witness, entry.spec), name
+            assert induced_permutation(record.witness, entry.grading) == \
+                record.permutation, name
+            assert (record.witness.kind == "inner") == (record.parity == 0), name
+
+
 def test_quotients_are_closed_under_composition_and_inverse():
     for name in ("g1", "g3", "g4"):
         q = quotient(name)
