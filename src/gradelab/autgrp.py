@@ -75,8 +75,11 @@ class Automorphism:
 
     @classmethod
     def from_json(cls, data: dict) -> "Automorphism":
+        # the algebra first: its size bound refuses sl(40) before the
+        # 1600 entries of a 40x40 representative are parsed
+        algebra = special_linear(int(data["rep"]["rows"]))
         rep = Matrix.from_json(data["rep"])
-        return cls(special_linear(rep.rows), data["kind"], rep)
+        return cls(algebra, data["kind"], rep)
 
     def __repr__(self):
         tag = "Ad" if self.kind == INNER else "Out"

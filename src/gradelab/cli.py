@@ -11,17 +11,13 @@ import hashlib
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import contractions as con
 from . import selfcheck
 from .autgrp import NAMED_AUTOMORPHISMS, Automorphism, named_automorphism
-from .cyclo import CycloNumber
 from .gradings import (AbelianGroup, Grading, catalog, coarsen, format_label,
                        search_labeling, verify_grading, verify_labeling,
                        CATALOG_NAMES)
-from .liealg import parse_element, special_linear
-from .linalg import Subspace, as_cyclo
 from .normalizers import (CATALOG_NORMALIZER_GENERATORS,
                           catalog_normalizer_generators, induced_permutation,
                           inner_subquotient, linearize_on_labels, normalizes,
@@ -72,20 +68,11 @@ _MALFORMED = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError
 # largest group order `grading label` accepts: the search lists every element
 MAX_LABEL_GROUP_ORDER = 1 << 16
 
-# largest n of sl(n) a grading or automorphism file may name: building the
-# algebra's bracket table grows like n^6 (about 1 s of CPU for sl(8))
-MAX_ALGEBRA_N = 8
-
 
 def _malformed(what: str, path: str, exc: Exception) -> ValueError:
     reason = (f"missing key {exc}" if isinstance(exc, KeyError)
               else f"{type(exc).__name__}: {exc}")
     return ValueError(f"malformed {what} in {path!r}: {reason}")
-
-
-def _check_algebra_size(n: int) -> None:
-    if n > MAX_ALGEBRA_N:
-        raise ValueError(f"sl({n}) is above the limit of sl({MAX_ALGEBRA_N})")
 
 
 def _read_input(path: str) -> bytes:
@@ -108,26 +95,9 @@ def _load_automorphism(spec_text: str) -> Automorphism:
             f"{', '.join(sorted(NAMED_AUTOMORPHISMS))}, and not a readable "
             f"file ({exc.strerror})") from None
     try:
-        data = json.loads(raw)
-        _check_algebra_size(int(data["rep"]["rows"]))
-        return Automorphism.from_json(data)
+        return Automorphism.from_json(json.loads(raw))
     except _MALFORMED as exc:
         raise _malformed("automorphism", spec_text, exc) from None
-
-
-def _element_row(row, algebra):
-    """One basis vector from JSON: a coordinate list or a named-basis string."""
-    if isinstance(row, str):
-        return list(parse_element(row, algebra).coords)
-    coords = []
-    for entry in row:
-        if isinstance(entry, dict):
-            coords.append(CycloNumber.from_json(entry))
-        elif isinstance(entry, str):
-            coords.append(as_cyclo(Fraction(entry)))
-        else:
-            coords.append(as_cyclo(entry))
-    return coords
 
 
 def _load_grading(path: str):
@@ -139,19 +109,7 @@ def _load_grading(path: str):
                          f"{exc.strerror}") from None
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        data = json.loads(raw.decode("utf-8"))
-        if "grading" in data and "parts" not in data:
-            data = data["grading"]
-        _check_algebra_size(int(data["n"]))
-        algebra = special_linear(int(data["n"]))
-        parts = [Subspace.from_vectors(int(part.get("ambient_dim", algebra.dim)),
-                                       [_element_row(r, algebra) for r in part["basis"]])
-                 for part in data["parts"]]
-        group = labels = None
-        if data.get("group") is not None:
-            group = AbelianGroup(data["group"])
-            labels = [tuple(l) for l in data["labels"]]
-        grading = Grading(algebra, parts, group, labels)
+        grading = Grading.from_json(json.loads(raw.decode("utf-8")))
     except _MALFORMED as exc:
         raise _malformed("grading", path, exc) from None
     return grading, digest

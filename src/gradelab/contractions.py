@@ -644,17 +644,6 @@ def apply_variable_permutation(masks: np.ndarray, varperm) -> np.ndarray:
     return out.reshape(masks.shape)
 
 
-def _pushed_product(rows: np.ndarray, cube: np.ndarray, varperm) -> np.ndarray:
-    """The push of the product set rows x cube, in `SolutionSet.masks` order.
-
-    A bit permutation distributes over OR, so pushing each factor and
-    OR-ing them (row-major) equals pushing every product mask in turn.
-    """
-    pushed_rows = apply_variable_permutation(rows, varperm)
-    pushed_cube = apply_variable_permutation(cube, varperm)
-    return (pushed_rows[:, None] | pushed_cube[None, :]).ravel()
-
-
 class _NotInvariant(ValueError):
     """A symmetry maps the solution set off itself.  `is_invariant` catches
     only this, so a group of the wrong degree still raises."""
@@ -714,13 +703,13 @@ def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
     Returns Orbit records sorted by representative mask.  With include_free
     the orbits are those of the whole product set, materialized
     (`SolutionSet.masks`) as the starting least image; an element's image
-    pushes the constrained patterns and the free-bit cube as two factors
-    (`_pushed_product`), and sets beyond MATERIALIZE_CAP are refused to keep
-    memory bounded.  Without it the orbits are those of the constrained
-    patterns alone, i.e. solutions with every unconstrained pair switched
-    off, a subset closed under the action.
+    is its push of the constrained patterns OR-ed (row-major) with its push
+    of the free-bit cube, since a bit permutation distributes over OR, and
+    sets beyond MATERIALIZE_CAP are refused to keep memory bounded.  Without
+    it the orbits are those of the constrained patterns alone, i.e.
+    solutions with every unconstrained pair switched off, a subset closed
+    under the action.
     """
-    rows = solutions.active_masks
     symmetries = _symmetries(solutions, quotient)
     if include_free:
         total = len(solutions)
@@ -730,10 +719,12 @@ def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
                 f"{MATERIALIZE_CAP}; pass include_free=False")
         least = np.fromiter(solutions.masks(), dtype=np.uint64, count=total)
         cube = solutions.free_cube()
-        for vp, _ in symmetries:
-            np.minimum(least, _pushed_product(rows, cube, vp), out=least)
+        for vp, pushed in symmetries:
+            # unnamed, the full-size image is freed before the next is built
+            pushed_cube = apply_variable_permutation(cube, vp)
+            np.minimum(least, (pushed[:, None] | pushed_cube[None, :]).ravel(), out=least)
     else:
-        least = rows.copy()
+        least = solutions.active_masks.copy()
         for _, pushed in symmetries:
             np.minimum(least, pushed, out=least)
     reps, counts = np.unique(least, return_counts=True)

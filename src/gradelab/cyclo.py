@@ -29,20 +29,27 @@ MAX_JSON_ORDER = 256
 
 
 @lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
+
+
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("order must be positive")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -483,21 +490,6 @@ def _bezout(nums, modulus) -> tuple[list[int], int]:
 
 
 # --- subfield descent -------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[int, ...]:
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return tuple(primes)
-
 
 def _sparse(row) -> tuple[tuple[int, int], ...]:
     return tuple((i, c) for i, c in enumerate(row) if c)

@@ -4,6 +4,8 @@ A grading is a direct-sum decomposition L = (+)_i L_i such that every
 bracket [L_i, L_j] is zero or lands inside a single part.  Fine gradings
 arise as common eigenspace decompositions of commuting diagonalizable
 automorphism families; the four families for sl(3,C) live in `catalog`.
+`Grading.from_json` is the one reader of a grading document, for the
+library and for `grading verify --input` alike.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Callable
 from . import cyclo
 from .cyclo import CycloNumber, zeta
 from .linalg import Matrix, Subspace
-from .liealg import LieAlgebra, special_linear
+from .liealg import LieAlgebra, parse_element, special_linear
 from .autgrp import (
     Automorphism,
     clock_matrix,
@@ -146,8 +148,19 @@ class Grading:
 
     @classmethod
     def from_json(cls, data: dict) -> "Grading":
+        """The grading of a `to_json` document, or of the {"grading": ...}
+        wrapper that `grading coarsen --format json` writes.
+
+        A basis vector is a named-basis string such as "E12 + E21" or a
+        coordinate list whose entries are scalar dicts, ints or fraction
+        strings such as "1/2"; a part's `ambient_dim` may be left out.
+        """
+        if "grading" in data and "parts" not in data:
+            data = data["grading"]
         algebra = special_linear(int(data["n"]))
-        parts = [Subspace.from_json(p) for p in data["parts"]]
+        parts = [Subspace.from_vectors(int(p.get("ambient_dim", algebra.dim)),
+                                       [_vector(row, algebra) for row in p["basis"]])
+                 for p in data["parts"]]
         group = labels = None
         if data.get("group") is not None:
             group = AbelianGroup(data["group"])
@@ -157,6 +170,15 @@ class Grading:
     def __repr__(self):
         dims = ",".join(str(d) for d in self.part_dims)
         return f"Grading({self.num_parts} parts, dims [{dims}])"
+
+
+def _vector(row, algebra: LieAlgebra):
+    """One basis vector from JSON: a named-basis string or a coordinate list
+    (ints and Fractions become scalars in `Subspace.from_vectors`)."""
+    if isinstance(row, str):
+        return parse_element(row, algebra).coords
+    return [CycloNumber.from_json(c) if isinstance(c, dict)
+            else Fraction(c) if isinstance(c, str) else c for c in row]
 
 
 # --- construction from commuting automorphisms ------------------------------

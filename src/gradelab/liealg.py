@@ -2,7 +2,10 @@
 
 Basis order: E_ij for i != j (row-major over the off-diagonal positions),
 followed by H_k = E_kk - E_(k+1)(k+1) for k = 1..n-1.  Structure constants
-are computed once per n and cached.  `StructureTable` is the one bracket
+are computed once per n and cached, for n up to MAX_ALGEBRA_N: the table
+costs time like n^6, so every path that builds sl(n) (`special_linear`,
+`Grading.from_json`, `Automorphism.from_json`, `make_ad`) goes through the
+one refusal in `LieAlgebra`.  `StructureTable` is the one bracket
 table type: sl(n) keeps its structure constants in one, and so do the
 grading-adapted and contracted tables of `contractions`.  An element is a
 coordinate tuple; `LieAlgebra.bracket_coords` is the bracket.
@@ -17,6 +20,10 @@ from functools import lru_cache
 
 from .cyclo import CycloNumber
 from .linalg import Matrix, as_cyclo
+
+# largest n of sl(n) that may be built: the bracket table grows like n^6
+# (about 1 s of CPU for sl(8), 2 s for sl(9))
+MAX_ALGEBRA_N = 8
 
 # sparse bracket table entry: {target_index: coefficient}
 SparseVec = dict
@@ -65,6 +72,8 @@ class LieAlgebra:
     def __init__(self, n: int) -> None:
         if n < 2:
             raise ValueError("n must be at least 2")
+        if n > MAX_ALGEBRA_N:
+            raise ValueError(f"sl({n}) is above the limit of sl({MAX_ALGEBRA_N})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", n * n - 1)
         names = []

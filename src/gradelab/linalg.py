@@ -368,10 +368,5 @@ class Subspace:
         return {"ambient_dim": self.ambient_dim,
                 "basis": [[v.to_json() for v in row] for row in self.basis]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Subspace":
-        vectors = [[CycloNumber.from_json(v) for v in row] for row in data["basis"]]
-        return cls.from_vectors(int(data["ambient_dim"]), vectors)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -9,6 +9,7 @@ trivial permutation whose G-membership is checked structurally.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 # ClosureCapExceeded is raised by _closure and stays importable from here
@@ -133,9 +134,6 @@ class PermutationGroup:
             k = p.order()
             profile[k] = profile.get(k, 0) + 1
         return profile
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm in set(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -288,10 +286,12 @@ def support_group(g: Grading) -> PermutationGroup:
 
 
 def linearize_on_labels(p: Permutation, g: Grading):
-    """A 2x2 matrix M over Z3 with M . label(i) = label(p(i)), or None.
+    """The 2x2 matrix M over Z3 with M . label(i) = label(p(i)), or None.
 
     Requires a Z3 x Z3 labeled grading whose labels avoid the neutral
-    element, as for the Pauli grading.
+    element, as for the Pauli grading.  All 81 matrices are tried; M is
+    returned only when exactly one fits, so labels that span Z3 x Z3 fix
+    it and collinear labels (0 or 9 fits) give None.
     """
     if g.labels is None or g.group.cyclic_orders != (3, 3):
         raise ValueError("grading must carry Z3 x Z3 labels")
@@ -299,37 +299,13 @@ def linearize_on_labels(p: Permutation, g: Grading):
         raise ValueError("labels must avoid the neutral element")
     if p.degree != g.num_parts:
         raise ValueError("permutation degree does not match the grading")
-    base = None
-    for i in range(g.num_parts):
-        for j in range(i + 1, g.num_parts):
-            a, b = g.labels[i], g.labels[j]
-            if (a[0] * b[1] - a[1] * b[0]) % 3 != 0:
-                base = (i, j)
-                break
-        if base:
-            break
-    if base is None:
-        return None
-    i, j = base
-    a, b = g.labels[i], g.labels[j]
-    ia, ib = g.labels[p(i)], g.labels[p(j)]
-    det = (a[0] * b[1] - a[1] * b[0]) % 3
-    det_inv = 1 if det == 1 else 2  # inverse of det mod 3
-    # M = [image_a image_b] . [a b]^(-1), all mod 3
-    inv = ((b[1] * det_inv % 3, (-b[0]) * det_inv % 3),
-           ((-a[1]) * det_inv % 3, a[0] * det_inv % 3))
-    matrix = ((ia[0] * inv[0][0] + ib[0] * inv[1][0],
-               ia[0] * inv[0][1] + ib[0] * inv[1][1]),
-              (ia[1] * inv[0][0] + ib[1] * inv[1][0],
-               ia[1] * inv[0][1] + ib[1] * inv[1][1]))
-    matrix = tuple(tuple(v % 3 for v in row) for row in matrix)
-    for idx in range(g.num_parts):
-        v = g.labels[idx]
-        image = ((matrix[0][0] * v[0] + matrix[0][1] * v[1]) % 3,
-                 (matrix[1][0] * v[0] + matrix[1][1] * v[1]) % 3)
-        if image != g.labels[p(idx)]:
-            return None
-    return matrix
+    images = [g.labels[p(i)] for i in range(g.num_parts)]
+    rows = list(itertools.product(range(3), repeat=2))
+    fits = [m for m in itertools.product(rows, repeat=2)
+            if all(((m[0][0] * a + m[0][1] * b) % 3,
+                    (m[1][0] * a + m[1][1] * b) % 3) == image
+                   for (a, b), image in zip(g.labels, images))]
+    return fits[0] if len(fits) == 1 else None
 
 
 def det_mod3(matrix) -> int:

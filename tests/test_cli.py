@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from gradelab import cli, selfcheck
+from gradelab import cli, liealg, selfcheck
 from gradelab.autgrp import NAMED_AUTOMORPHISMS
 
 
@@ -323,7 +323,7 @@ def test_negative_limit_is_a_one_line_usage_error(capsys):
 
 def test_algebra_above_the_size_cap_is_a_one_line_usage_error(capsys, tmp_path):
     n = 40
-    assert n > cli.MAX_ALGEBRA_N
+    assert n > liealg.MAX_ALGEBRA_N
     grading = tmp_path / "sl40.json"
     grading.write_text(json.dumps({"n": n, "parts": [{"basis": ["E12"]}]}))
     one, zero = {"order": 1, "terms": [[1, 1, 0]]}, {"order": 1, "terms": []}

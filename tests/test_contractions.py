@@ -8,7 +8,7 @@ import pytest
 from gradelab import selfcheck
 from gradelab.contractions import (ContractionSystem, Equation, NodeCapExceeded,
                                    SolutionSet, _ComboTable, _adapted_basis,
-                                   _pushed_product, _uncontracted_adapted,
+                                   _symmetries, _uncontracted_adapted,
                                    apply_variable_permutation,
                                    burnside_orbit_count, contracted_structure, generate_equations,
                                    is_invariant, jacobi_oracle, pair_key,
@@ -408,11 +408,13 @@ def test_factored_images_equal_the_push_of_the_materialized_set():
         solved, s = solutions(name), system(name)
         materialized = np.fromiter(solved.masks(), dtype=np.uint64,
                                    count=len(solved))
-        for p in quotient(name).elements:
-            vp = pair_variable_permutation(p, s)
-            assert np.array_equal(
-                _pushed_product(solved.active_masks, solved.free_cube(), vp),
-                apply_variable_permutation(materialized, vp)), (name, p)
+        cube = solved.free_cube()
+        for p, (vp, pushed) in zip(quotient(name).elements,
+                                   _symmetries(solved, quotient(name))):
+            assert vp == pair_variable_permutation(p, s)
+            factored = pushed[:, None] | apply_variable_permutation(cube, vp)[None, :]
+            assert np.array_equal(factored.ravel(),
+                                  apply_variable_permutation(materialized, vp)), (name, p)
 
 
 def test_oversized_full_orbit_request_is_refused():

@@ -1,8 +1,10 @@
 """Fine gradings of sl(3,C): catalog construction, verification, labeling."""
 import itertools
+import json
 
 import pytest
 
+from gradelab import cli
 from gradelab.autgrp import (clock_matrix, make_ad, make_out, named_automorphism,
                              shift_matrix)
 from gradelab.gradings import (CATALOG_NAMES, AbelianGroup, Grading, catalog,
@@ -205,6 +207,31 @@ def test_grading_json_round_trip():
         assert Grading.from_json(g.to_json()) == g
     base = Grading(sl3, catalog("g1").grading.parts)
     assert Grading.from_json(base.to_json()) == base
+
+
+def test_from_json_reads_every_row_spelling_and_the_coarsen_wrapper(tmp_path):
+    # the g2 grading, its basis vectors spelled as named-basis strings and as
+    # coordinate lists of ints, fraction strings and scalar dicts (i = zeta_4
+    # scales H2), with no ambient_dim
+    i = {"order": 4, "terms": [[1, 1, 1]]}
+    document = {"n": 3, "group": [2, 2, 2],
+                "labels": [list(l) for l in catalog("g2").labels],
+                "parts": [{"basis": [[0, 0, 0, 0, 0, 0, "1/2", 0],
+                                     [0, 0, 0, 0, 0, 0, 0, i]]},
+                          {"basis": ["E21 + E12"]},
+                          {"basis": ["2*E31 + 2*E13"]},
+                          {"basis": [[0, 0, 0, "-1/3", 0, "-1/3", 0, 0]]},
+                          {"basis": [[-1, 0, 1, 0, 0, 0, 0, 0]]},
+                          {"basis": ["E23 - E32"]},
+                          {"basis": ["E31 - E13"]}]}
+    expected = catalog("g2").grading
+    wrapped = {"catalog": "g2", "grading": document}
+    assert Grading.from_json(document) == expected
+    assert Grading.from_json(wrapped) == expected
+    # the command line reads a file through the same reader
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps(wrapped))
+    assert cli._load_grading(str(path))[0] == expected
 
 
 def test_grading_constructor_rejects_bad_input():

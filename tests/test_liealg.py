@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from gradelab import liealg
+from gradelab.autgrp import Automorphism, make_ad
+from gradelab.gradings import Grading
 from gradelab.liealg import (StructureTable, jacobi_table_holds, parse_element,
                              special_linear)
-from gradelab.linalg import as_cyclo
+from gradelab.linalg import Matrix, as_cyclo
 
 rng = random.Random(35203)
 
@@ -103,3 +106,22 @@ def test_parse_element_rejects_garbage():
     for bad in ("", "E99", "H1 +", "E12 E21", "Z12"):
         with pytest.raises(ValueError):
             parse_element(bad, sl3)
+
+
+def test_every_constructor_refuses_sl_n_above_the_bound(monkeypatch):
+    # refused before any bracket is tabled or any entry of a representative
+    # parsed: building sl(9) takes about 2 s, and sl(40) far longer
+    def never(*args):
+        raise AssertionError("built or parsed past the size bound")
+
+    monkeypatch.setattr(liealg, "StructureTable", never)
+    monkeypatch.setattr(Matrix, "from_json", staticmethod(never))
+    rep40 = {"rows": 40, "cols": 40, "entries": []}
+    for build, n in ((lambda: special_linear(9), 9),
+                     (lambda: make_ad(Matrix.identity(9)), 9),
+                     (lambda: Grading.from_json({"n": 9, "parts": []}), 9),
+                     (lambda: Automorphism.from_json({"kind": "inner", "rep": rep40}), 40)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == f"sl({n}) is above the limit of sl(8)"
+    assert liealg.MAX_ALGEBRA_N == 8

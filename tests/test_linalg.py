@@ -121,12 +121,6 @@ def test_scalar_multiple_detection():
     assert Subspace.from_vectors(3, [v]) == Subspace.from_vectors(3, [w])
 
 
-def test_subspace_json_round_trip():
-    for _ in range(20):
-        u = rand_subspace()
-        assert Subspace.from_json(u.to_json()) == u
-
-
 def test_matrix_json_round_trip():
     a = rand_matrix(3, 4)
     assert Matrix.from_json(a.to_json()) == a
