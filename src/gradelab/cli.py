@@ -426,7 +426,12 @@ def _format_mask(system, mask: int) -> str:
 def cmd_selfcheck(args) -> int:
     numbers = None
     if args.only:
-        numbers = sorted({int(t) for t in args.only.split(",")})
+        try:
+            numbers = sorted({int(t) for t in args.only.split(",")})
+        except ValueError:
+            raise ValueError(f"bad --only value {args.only!r}; the checks are "
+                             f"numbered {min(selfcheck.CHECKS)} to "
+                             f"{max(selfcheck.CHECKS)}") from None
     if args.format == "json":
         results = selfcheck.run_all(numbers)
         data = {"results": [{"number": r.number, "title": r.title,

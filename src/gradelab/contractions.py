@@ -367,7 +367,7 @@ def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
     return _sweep(system, narrow)
 
 
-# --- the backtracking solver --------------------------------------------------
+# --- backtracking over the equality chains ------------------------------------
 
 class NodeCapExceeded(RuntimeError):
     def __init__(self, cap: int, nodes: int, solutions_so_far: int):
@@ -447,156 +447,62 @@ def _node_cap_from_env() -> int:
 
 
 def solve_binary(system: ContractionSystem) -> SolutionSet:
-    """Enumerate every binary solution by DFS with unit propagation.
+    """Every binary solution, by backtracking over the equality chains.
 
-    Branches on the constrained variables only (most-constrained-first,
-    index as tie-break); free variables are carried symbolically by the
-    returned SolutionSet.  Raises NodeCapExceeded past the node budget
-    (the GRADELAB_NODE_CAP environment variable, else DEFAULT_NODE_CAP);
-    the budget covers the whole search.
+    Branches on the constrained variables in a fixed greedy order (most
+    monomials completed with the variables placed, then most occurrences,
+    then lowest index) and checks only the chains of the variable just set:
+    a monomial is known once a factor is 0 or both are 1, and a chain with
+    two known monomials of different values kills the branch.  Free
+    variables are carried symbolically by the returned SolutionSet.  Raises
+    NodeCapExceeded past the node budget (GRADELAB_NODE_CAP, else
+    DEFAULT_NODE_CAP), which covers the whole search.
     """
     node_cap = _node_cap_from_env()
-
-    active = list(system.active)
-    var_slot = {v: s for s, v in enumerate(active)}
-    n = len(active)
-
-    # monomials join equality components; a component is satisfied when all
-    # its member monomials evaluate to one common value
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    chains_of = {v: [] for v in system.active}
     for eq in system.equations:
-        for mono in eq.monomials:
-            parent.setdefault(mono, mono)
-        first = eq.monomials[0]
-        for mono in eq.monomials[1:]:
-            union(first, mono)
-
-    components: dict = {}
-    for mono in parent:
-        components.setdefault(find(mono), []).append(mono)
-    comp_list = list(components.values())
-    comp_of_mono = {}
-    for ci, monos in enumerate(comp_list):
-        for mono in monos:
-            comp_of_mono[mono] = ci
-
-    monos_of_var: list = [[] for _ in range(n)]
-    for mono in parent:
-        u, v = mono
-        monos_of_var[var_slot[u]].append(mono)
-        if v != u:
-            monos_of_var[var_slot[v]].append(mono)
-
-    occurrence = [len(m) for m in monos_of_var]
-    branch_order = sorted(range(n), key=lambda s: (-occurrence[s], s))
-
-    values = [-1] * n           # per active slot
-    comp_values = [-1] * len(comp_list)
+        for v in {x for mono in eq.monomials for x in mono}:
+            chains_of[v].append(eq.monomials)
+    order: list = []
+    for _ in chains_of:
+        placed = set(order)
+        order.append(max(chains_of.keys() - placed, key=lambda v: (
+            sum(v in mono and set(mono) <= placed | {v}
+                for chain in chains_of[v] for mono in chain),
+            len(chains_of[v]), -v)))
+    value = [-1] * system.num_variables
     solutions: list = []
     nodes = 0
 
-    def mono_value(mono):
-        u, v = mono
-        a = values[var_slot[u]]
-        if a == 0:
-            return 0
-        b = values[var_slot[v]]
-        if b == 0:
-            return 0
-        if a == 1 and b == 1:
-            return 1
-        return -1
-
-    def propagate(trail, comp_trail, queue) -> bool:
-        while queue:
-            slot = queue.pop()
-            for mono in monos_of_var[slot]:
-                ci = comp_of_mono[mono]
-                val = mono_value(mono)
-                cur = comp_values[ci]
-                if val != -1:
-                    if cur == -1:
-                        comp_values[ci] = val
-                        comp_trail.append(ci)
-                        cur = val
-                    elif cur != val:
+    def holds(v) -> bool:
+        for chain in chains_of[v]:
+            common = -1
+            for a, b in chain:
+                x, y = value[a], value[b]
+                m = 0 if x == 0 or y == 0 else 1 if x == y == 1 else -1
+                if m != -1:
+                    if common != -1 and common != m:
                         return False
-                if cur == 1:
-                    # every factor of every member monomial must be 1
-                    for member in comp_list[ci]:
-                        for var in member:
-                            s = var_slot[var]
-                            if values[s] == 0:
-                                return False
-                            if values[s] == -1:
-                                values[s] = 1
-                                trail.append(s)
-                                queue.append(s)
-                elif cur == 0:
-                    # a member with one factor already 1 forces the other to 0
-                    for member in comp_list[ci]:
-                        u, v = member
-                        su, sv = var_slot[u], var_slot[v]
-                        if values[su] == 1 and values[sv] == 1:
-                            return False
-                        if values[su] == 1 and values[sv] == -1:
-                            values[sv] = 0
-                            trail.append(sv)
-                            queue.append(sv)
-                        elif values[sv] == 1 and values[su] == -1:
-                            values[su] = 0
-                            trail.append(su)
-                            queue.append(su)
+                    common = m
         return True
 
-    def assign(slot, bit, trail, comp_trail) -> bool:
-        if values[slot] != -1:
-            return values[slot] == bit
-        values[slot] = bit
-        trail.append(slot)
-        return propagate(trail, comp_trail, [slot])
-
-    def undo(trail, comp_trail):
-        for slot in trail:
-            values[slot] = -1
-        for ci in comp_trail:
-            comp_values[ci] = -1
-
-    def dfs():
+    def dfs(depth, mask):
         nonlocal nodes
         nodes += 1
         if nodes > node_cap:
             raise NodeCapExceeded(node_cap, nodes, len(solutions))
-        slot = next((s for s in branch_order if values[s] == -1), None)
-        if slot is None:
-            mask = 0
-            for s, v in enumerate(active):
-                if values[s] == 1:
-                    mask |= 1 << v
+        if depth == len(order):
             solutions.append(mask)
             return
+        v = order[depth]
         for bit in (0, 1):
-            trail: list = []
-            comp_trail: list = []
-            if assign(slot, bit, trail, comp_trail):
-                dfs()
-            undo(trail, comp_trail)
+            value[v] = bit
+            if holds(v):
+                dfs(depth + 1, mask | bit << v)
+        value[v] = -1
 
-    dfs()
-    masks = np.array(sorted(solutions), dtype=np.uint64)
-    return SolutionSet(system, masks)
+    dfs(0, 0)
+    return SolutionSet(system, np.array(sorted(solutions), dtype=np.uint64))
 
 
 # --- normalizer symmetry on solution sets -------------------------------------

@@ -10,6 +10,7 @@ trivial permutation whose G-membership is checked structurally.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 # ClosureCapExceeded is raised by _closure and stays importable from here
@@ -59,11 +60,7 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.mapping))
 
     def order(self) -> int:
-        k, power = 1, self
-        while not power.is_identity():
-            power = power.compose(self)
-            k += 1
-        return k
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self) -> list:
         """Nontrivial cycles, each rotated to start at its least element."""

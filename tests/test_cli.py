@@ -315,6 +315,11 @@ def test_solve_past_the_node_cap_is_a_one_line_usage_error(capsys, monkeypatch):
         assert err.startswith("error: solver exceeded the node cap of 5 (GRADELAB_NODE_CAP)")
 
 
+def test_bad_only_value_is_a_one_line_usage_error(capsys):
+    err = assert_one_line_usage_error(capsys, ["selfcheck", "--only", "1,x"])
+    assert err == "error: bad --only value '1,x'; the checks are numbered 1 to 9\n"
+
+
 def test_negative_limit_is_a_one_line_usage_error(capsys):
     err = assert_one_line_usage_error(
         capsys, ["contract", "solve", "--catalog", "g1", "--limit", "-3"])

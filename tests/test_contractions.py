@@ -188,6 +188,8 @@ def test_sweeps_of_systems_smaller_than_two_words_match_brute_force():
 
             by_equations = _brute_force(s, equations_hold)
             assert np.array_equal(sweep_equations(s), by_equations), (n_active, seed)
+            assert np.array_equal(solve_binary(s).active_masks, by_equations), \
+                (n_active, seed)
             for pin in (0, 1):
                 def tables_hold(value):
                     full = {v: value.get(v, pin) for v in range(s.num_variables)}
@@ -309,6 +311,14 @@ def test_node_cap_aborts_the_search(monkeypatch):
         solve_binary(system("g4"))
     assert info.value.cap == 50
     assert info.value.nodes >= 50
+
+
+def test_catalog_solves_stay_well_inside_a_small_node_cap(monkeypatch):
+    # about three times the largest catalog search (g4, 32729 nodes): a worse
+    # branch order or a lost pruning rule runs past it
+    monkeypatch.setenv("GRADELAB_NODE_CAP", "100000")
+    for name, count in {"g1": 255, "g2": 779, "g3": 2091, "g4": 6784}.items():
+        assert solve_binary(system(name)).active_count == count, name
 
 
 def test_quotient_action_permutes_variables():

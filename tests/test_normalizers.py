@@ -48,6 +48,9 @@ def test_permutation_algebra():
     assert p.compose(p.inverse()).is_identity()
     assert p.order() == 3 and q.order() == 2
     assert p.compose(q).order() == 4
+    # the lcm of the cycle lengths: 1 for the identity, 6 for a 2- and a 3-cycle
+    assert Permutation.identity(5).order() == 1
+    assert Permutation([1, 0, 3, 4, 2]).order() == 6
     assert Permutation.identity(5).cycle_notation() == "()"
     assert p.cycle_notation() == "(0 1 2)"
 
