@@ -27,7 +27,9 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, xor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -290,8 +292,9 @@ def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
     pattern; a higher position is an all-ones or all-zeros word, bit pos - 6
     of the word index.  For each chunk, `narrow(cols, ok)` receives the word
     column of every active variable (keyed by variable index) and clears,
-    in place, the bits of `ok` whose assignments fail.  The kept masks carry
-    their bits at the variable indices, free bits zero.
+    in place, the bits of `ok` whose assignments fail.  Only the words of
+    `ok` with a bit left are unpacked into assignment numbers.  The kept
+    masks carry their bits at the variable indices, free bits zero.
     """
     active = system.active
     n = len(active)
@@ -311,11 +314,14 @@ def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
                 for pos, v in enumerate(active)}
         ok = np.full(words.shape, tail, dtype=np.uint64)
         narrow(cols, ok)
-        bits = np.unpackbits(ok.astype("<u8", copy=False).view(np.uint8),
-                             bitorder="little")
-        keep.append(np.flatnonzero(bits).astype(np.uint64) + np.uint64(64 * start))
+        hit = np.flatnonzero(ok)
+        bits = np.flatnonzero(np.unpackbits(
+            ok[hit].astype("<u8", copy=False).view(np.uint8), bitorder="little"))
+        # bit b of the k-th surviving word is assignment 64*(start + hit[k]) + b;
+        # int64 throughout, as n <= 30 keeps every number far below 2^63
+        keep.append((hit[bits >> 6] + start) << 6 | bits & 63)
     # `active` is increasing, so the scatter keeps the masks sorted
-    return apply_variable_permutation(np.concatenate(keep), active)
+    return apply_variable_permutation(np.concatenate(keep).astype(np.uint64), active)
 
 
 def sweep_equations(system: ContractionSystem) -> np.ndarray:
@@ -335,32 +341,55 @@ def sweep_equations(system: ContractionSystem) -> np.ndarray:
     return _sweep(system, narrow)
 
 
+def _forbidden_products(factor_vars, allowed: int) -> frozenset:
+    """The forbidden codes of a residual table in algebraic normal form.
+
+    The codes outside `allowed` are a Boolean function of the three
+    monomials m1, m2, m3 (code m1 | m2<<1 | m3<<2); its Moebius transform
+    writes it as the XOR of products of monomials.  A product with a void
+    term reads 0 and is dropped.  A product is returned as the frozenset of
+    the variables it ANDs, so a repeated factor counts once (x*x = x), and
+    two products on the same variables cancel (x ^ x = 0); the empty
+    product is the constant 1.
+    """
+    coeff = [~allowed >> code & 1 for code in range(8)]
+    for slot in range(3):
+        for code in range(8):
+            if code >> slot & 1:
+                coeff[code] ^= coeff[code ^ 1 << slot]
+    products = set()
+    for code in range(8):
+        slots = [slot for slot in range(3) if code >> slot & 1]
+        if coeff[code] and all(factor_vars[slot] is not None for slot in slots):
+            products ^= {frozenset(v for slot in slots for v in factor_vars[slot])}
+    return frozenset(products)
+
+
 def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
     """All active assignments passing the per-triple residual tables.
 
     Independent route: uses only exact residual evaluations of the Jacobi
-    T vectors, never the generated equations.  Variables outside the active
-    set are pinned to `pin`; pinned-variable irrelevance is a structural
-    fact (their blocks bracket to zero) asserted in the test suite.
+    T vectors, never the generated equations.  Each table's forbidden codes
+    are compiled once into XOR form (`_forbidden_products`); variables
+    outside the active set are pinned to `pin` there, so a product drops
+    them (pin 1) or vanishes (pin 0), and tables that compile alike are
+    swept once.  Pinned-variable irrelevance is a structural fact (their
+    blocks bracket to zero) asserted in the test suite.
     """
-    tables = [(ct.factor_vars,
-               [code for code in range(8) if not (ct.allowed >> code) & 1])
-              for ct in system._combo_tables if ct.allowed != 0xFF]
-    pinned = _ALL_ONES if pin else np.uint64(0)
+    active = frozenset(system.active)
+    tables = {}  # insertion-ordered set of the compiled tables
+    for ct in system._combo_tables:
+        products = set()
+        for product in _forbidden_products(ct.factor_vars, ct.allowed):
+            if pin or product <= active:
+                products ^= {product & active}
+        if products:
+            tables[frozenset(products)] = None
 
     def narrow(cols, ok):
-        for factor_vars, forbidden_codes in tables:
-            # a void term never enters the residual: its monomial reads 0
-            terms = [np.uint64(0) if mono is None else
-                     cols.get(mono[0], pinned) & cols.get(mono[1], pinned)
-                     for mono in factor_vars]
-            forbidden = np.uint64(0)
-            for code in forbidden_codes:
-                minterm = _ALL_ONES
-                for slot, term in enumerate(terms):
-                    minterm = minterm & (term if (code >> slot) & 1 else ~term)
-                forbidden = forbidden | minterm
-            ok &= ~forbidden
+        for products in tables:
+            ok &= ~reduce(xor, [reduce(and_, [cols[v] for v in product])
+                                if product else _ALL_ONES for product in products])
             if not ok.any():
                 return
 
@@ -405,6 +434,10 @@ class SolutionSet:
         return self.active_count << len(self.system.free)
 
     def contains_mask(self, mask: int) -> bool:
+        """Is `mask` a full solution; False for any int outside
+        0..2^num_variables - 1, which no mask of the system reaches."""
+        if not 0 <= mask < 1 << self.system.num_variables:
+            return False
         free_bits = 0
         for f in self.system.free:
             free_bits |= 1 << f
@@ -591,8 +624,7 @@ def is_invariant(solutions: SolutionSet, quotient: PermutationGroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     representative: int   # lexicographically least solution mask in the orbit
     size: int
 
@@ -605,16 +637,18 @@ def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
     each orbit is then labeled by the least image of any of its members.
     Invariance is decided once per element on the constrained patterns
     (`_symmetries`; ValueError if it fails).  The least images start from
-    the identity image and take the minimum with each element's image.
-    Returns Orbit records sorted by representative mask.  With include_free
-    the orbits are those of the whole product set, materialized
+    the identity image and take the minimum with each element's image, in
+    place; sorting them in place then leaves each orbit as one run, whose
+    value is the representative and whose length is the size.  Returns
+    Orbit records sorted by representative mask.  With include_free the
+    orbits are those of the whole product set, materialized
     (`SolutionSet.masks`) as the starting least image; an element's image
     is its push of the constrained patterns OR-ed (row-major) with its push
-    of the free-bit cube, since a bit permutation distributes over OR, and
-    sets beyond MATERIALIZE_CAP are refused to keep memory bounded.  Without
-    it the orbits are those of the constrained patterns alone, i.e.
-    solutions with every unconstrained pair switched off, a subset closed
-    under the action.
+    of the free-bit cube, since a bit permutation distributes over OR,
+    written into one buffer reused for every element, and sets beyond
+    MATERIALIZE_CAP are refused to keep memory bounded.  Without it the
+    orbits are those of the constrained patterns alone, i.e. solutions with
+    every unconstrained pair switched off, a subset closed under the action.
     """
     symmetries = _symmetries(solutions, quotient)
     if include_free:
@@ -625,16 +659,22 @@ def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
                 f"{MATERIALIZE_CAP}; pass include_free=False")
         least = np.fromiter(solutions.masks(), dtype=np.uint64, count=total)
         cube = solutions.free_cube()
+        image = np.empty((solutions.active_count, cube.size), dtype=np.uint64)
         for vp, pushed in symmetries:
-            # unnamed, the full-size image is freed before the next is built
-            pushed_cube = apply_variable_permutation(cube, vp)
-            np.minimum(least, (pushed[:, None] | pushed_cube[None, :]).ravel(), out=least)
+            np.bitwise_or(pushed[:, None], apply_variable_permutation(cube, vp), out=image)
+            np.minimum(least, image.ravel(), out=least)
+        del image
     else:
         least = solutions.active_masks.copy()
         for _, pushed in symmetries:
             np.minimum(least, pushed, out=least)
-    reps, counts = np.unique(least, return_counts=True)
-    return [Orbit(r, c) for r, c in zip(reps.tolist(), counts.tolist())]
+    least.sort()
+    first = np.empty(least.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(least[1:], least[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return list(map(Orbit, least[starts].tolist(),
+                    np.diff(starts, append=least.size).tolist()))
 
 
 def burnside_orbit_count(solutions: SolutionSet, quotient: PermutationGroup) -> int:

@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from gradelab import selfcheck
+from gradelab import contractions, selfcheck
 from gradelab.contractions import (ContractionSystem, Equation, NodeCapExceeded,
                                    SolutionSet, _ComboTable, _adapted_basis,
+                                   _forbidden_products,
                                    _symmetries, _uncontracted_adapted,
                                    apply_variable_permutation,
                                    burnside_orbit_count, contracted_structure, generate_equations,
@@ -205,6 +206,69 @@ def test_sweeps_of_systems_smaller_than_two_words_match_brute_force():
                                       _brute_force(s, tables_hold)), (n_active, seed, pin)
 
 
+@pytest.mark.parametrize("chunk_bits", [6, 7])
+def test_sweeps_in_chunks_of_one_and_two_words_match_the_default(monkeypatch, chunk_bits):
+    # one or two words to a chunk: the survivors of every chunk start, of bit
+    # 63 and of the last partial chunk must land on the same assignment numbers
+    cases = [system("g1")] + [_small_system(n_active, seed)
+                              for n_active in range(9) for seed in range(4)]
+    default = [(sweep_equations(s), sweep_oracle(s, pin=0), sweep_oracle(s, pin=1))
+               for s in cases]
+    monkeypatch.setattr(contractions, "CHUNK_BITS", chunk_bits)
+    for s, (by_equations, pinned_0, pinned_1) in zip(cases, default):
+        solved = solve_binary(s).active_masks
+        assert np.array_equal(by_equations, solved)
+        assert np.array_equal(sweep_equations(s), solved)
+        assert np.array_equal(sweep_oracle(s, pin=0), pinned_0)
+        assert np.array_equal(sweep_oracle(s, pin=1), pinned_1)
+    # on g1 the residual tables and the equations have the same solutions
+    assert np.array_equal(default[0][1], default[0][0])
+    assert np.array_equal(default[0][2], default[0][0])
+
+
+def _anf_over_variables(variables, forbidden):
+    """The unique XOR-of-ANDs form of `forbidden(value)` over `variables`,
+    by the Moebius transform of its truth table."""
+    coeff = [int(forbidden(dict(zip(variables, (bits >> i & 1 for i in range(len(variables)))))))
+             for bits in range(1 << len(variables))]
+    for i in range(len(variables)):
+        for bits in range(len(coeff)):
+            if bits >> i & 1:
+                coeff[bits] ^= coeff[bits ^ 1 << i]
+    return {frozenset(v for i, v in enumerate(variables) if bits >> i & 1)
+            for bits, c in enumerate(coeff) if c}
+
+
+def test_xor_form_of_a_residual_table_matches_its_truth_table():
+    layouts = [((0, 1), (2, 3), (4, 5)),     # three independent monomials: all 8 codes occur
+               (None, (2, 3), (4, 5)), ((0, 1), None, (4, 5)), ((0, 1), (2, 3), None),
+               ((0, 1), (0, 1), (2, 3)),     # a repeated monomial
+               ((0, 0), (0, 1), (1, 1)),     # monomials sharing a factor
+               (None, None, None)]
+    for factor_vars in layouts:
+        variables = sorted({v for mono in factor_vars if mono for v in mono})
+        for allowed in range(256):
+            def forbidden(value):
+                code = sum((value[mono[0]] & value[mono[1]]) << slot
+                           for slot, mono in enumerate(factor_vars) if mono is not None)
+                return not allowed >> code & 1
+
+            products = _forbidden_products(factor_vars, allowed)
+            assert products == _anf_over_variables(variables, forbidden), (factor_vars, allowed)
+            for bits in itertools.product((0, 1), repeat=len(variables)):
+                value = dict(zip(variables, bits))
+                reads = sum(all(value[v] for v in product) for product in products) % 2
+                assert reads == forbidden(value), (factor_vars, allowed, value)
+    # m1 = m2 = m3 with m1 = m2 = x0*x1: the forbidden codes are m1 != m3, so
+    # m1 ^ m2 cancels (x ^ x = 0), m1*m2 is x0*x1 (x*x = x) and
+    # m1*m3 ^ m2*m3 cancels, leaving x0*x1 ^ x2*x3
+    assert _forbidden_products(((0, 1), (0, 1), (2, 3)), 0b1000_0001) == \
+        {frozenset({0, 1}), frozenset({2, 3})}
+    # a table that forbids nothing, or only codes a void term cannot reach
+    assert _forbidden_products(((0, 1), (2, 3), (4, 5)), 0xFF) == frozenset()
+    assert _forbidden_products((None, (2, 3), (4, 5)), 0x55) == frozenset()
+
+
 def test_variable_permutation_matches_a_per_bit_reference():
     def reference(masks, varperm):
         out = np.zeros(masks.shape, dtype=np.uint64)
@@ -289,6 +353,15 @@ def test_membership_and_iteration_are_consistent():
     listed = list(itertools.islice(solved.masks(), 300))
     assert len(listed) == 300
     assert all(solved.contains_mask(m) for m in listed)
+
+
+def test_masks_outside_the_variable_range_are_not_solutions():
+    solved = solutions("g2")
+    n = solved.system.num_variables
+    member = int(solved.active_masks[-1])
+    assert member and solved.contains_mask(member)
+    for mask in (-1, 1 << n, 1 << 64, (1 << 70) | member):
+        assert solved.contains_mask(mask) is False, mask
 
 
 def test_masks_enumerate_free_bits_in_binary_counting_order():
@@ -405,6 +478,28 @@ def test_full_orbit_count_for_the_cartan_grading():
     assert len(orbits) == 179_664
     assert sum(o.size for o in orbits) == len(solutions("g1"))
     assert all(quotient("g1").order % o.size == 0 for o in orbits)
+
+
+def test_orbits_match_the_least_pushes_of_the_materialized_set():
+    # a second route: push every mask of the materialized set through every
+    # element, take the least image and count the distinct ones
+    for name in ("g1", "g2"):
+        solved, s, q = solutions(name), system(name), quotient(name)
+        for include_free in (True, False):
+            masks = (np.fromiter(solved.masks(), dtype=np.uint64, count=len(solved))
+                     if include_free else solved.active_masks)
+            least = masks.copy()
+            for p in q.elements:
+                np.minimum(least, apply_variable_permutation(
+                    masks, pair_variable_permutation(p, s)), out=least)
+            reps, sizes = np.unique(least, return_counts=True)
+            orbits = symmetry_orbits(solved, q, include_free=include_free)
+            assert [(o.representative, o.size) for o in orbits] == \
+                list(zip(reps.tolist(), sizes.tolist())), (name, include_free)
+    rep, size = orbit = orbits[0]
+    assert (rep, size) == (orbit.representative, orbit.size)
+    with pytest.raises(AttributeError):
+        orbit.size = 1
 
 
 def test_burnside_counts_the_full_set_orbits():
