@@ -18,6 +18,13 @@ and the kind is inner iff the two kinds agree; inverse(f) has representative
 rep_f^-1 when f is inner and rep_f^T when f is outer, and f's kind.  (Derived
 by expanding the definitions; the tests check each rule against products and
 inverses of the actions.)
+
+Each automorphism also carries its inverse transpose rep^(-T), computed on
+first use and kept, so a generator or group element composed again and again
+is inverted once.  inverse(f) eliminates nothing once f carries it, and hands
+it over: the inverse of an inner f has representative (rep_f^(-T))^T and
+carries rep_f^T; the inverse of an outer f has representative rep_f^T and
+carries (rep_f^(-T))^T.  The action reads rep^-1 as (rep^(-T))^T as well.
 """
 from __future__ import annotations
 
@@ -33,7 +40,7 @@ CLOSURE_CAP = 10000  # most elements that a closure (`_bfs`) may hold
 
 
 class Automorphism:
-    __slots__ = ("algebra", "kind", "rep", "_action")
+    __slots__ = ("algebra", "kind", "rep", "_action", "_inv_t")
 
     def __init__(self, algebra: LieAlgebra, kind: str, rep: Matrix):
         if kind not in (INNER, OUTER):
@@ -44,6 +51,7 @@ class Automorphism:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "_action", None)
+        object.__setattr__(self, "_inv_t", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -52,9 +60,14 @@ class Automorphism:
     def action(self) -> Matrix:
         """The action matrix on the basis, built on first use."""
         if self._action is None:
-            object.__setattr__(self, "_action",
-                               _action_matrix(self.algebra, self.kind, self.rep))
+            object.__setattr__(self, "_action", _action_matrix(self))
         return self._action
+
+    def _inverse_transpose(self) -> Matrix:
+        """rep^(-T), computed on first use and kept."""
+        if self._inv_t is None:
+            object.__setattr__(self, "_inv_t", self.rep.transpose().inverse())
+        return self._inv_t
 
     def apply_coords(self, coords) -> tuple:
         return self.action.apply(coords)
@@ -79,19 +92,22 @@ class Automorphism:
         # 1600 entries of a 40x40 representative are parsed
         algebra = special_linear(int(data["rep"]["rows"]))
         rep = Matrix.from_json(data["rep"])
-        return cls(algebra, data["kind"], rep)
+        auto = cls(algebra, data["kind"], rep)
+        auto._inverse_transpose()  # a singular representative fails here
+        return auto
 
     def __repr__(self):
         tag = "Ad" if self.kind == INNER else "Out"
         return f"{tag}({self.rep!r})"
 
 
-def _action_matrix(algebra: LieAlgebra, kind: str, rep: Matrix) -> Matrix:
-    rep_inv = rep.inverse()
+def _action_matrix(f: Automorphism) -> Matrix:
+    algebra, rep = f.algebra, f.rep
+    rep_inv = f._inverse_transpose().transpose()
     cols = []
     for b in algebra.basis:
         image = rep_inv * b * rep
-        if kind == OUTER:
+        if f.kind == OUTER:
             image = -image.transpose()
         cols.append(algebra.from_matrix(image))
     dim = algebra.dim
@@ -117,17 +133,23 @@ def compose(f: Automorphism, g: Automorphism) -> Automorphism:
     if g.kind == INNER:
         rep = g.rep * f.rep
     else:
-        rep = g.rep * f.rep.transpose().inverse()
+        rep = g.rep * f._inverse_transpose()
     kind = INNER if f.kind == g.kind else OUTER
     return Automorphism(f.algebra, kind, rep)
 
 
 def inverse(f: Automorphism) -> Automorphism:
+    rep_inv, rep_t = f._inverse_transpose().transpose(), f.rep.transpose()
     if f.kind == INNER:
-        rep = f.rep.inverse()
-    else:
-        rep = f.rep.transpose()
-    return Automorphism(f.algebra, f.kind, rep)
+        return _carrying(f, rep_inv, rep_t)
+    return _carrying(f, rep_t, rep_inv)
+
+
+def _carrying(f: Automorphism, rep: Matrix, inv_t: Matrix) -> Automorphism:
+    """An automorphism of f's algebra and kind that carries inv_t = rep^(-T)."""
+    g = Automorphism(f.algebra, f.kind, rep)
+    object.__setattr__(g, "_inv_t", inv_t)
+    return g
 
 
 def conjugate(h: Automorphism, g: Automorphism) -> Automorphism:

@@ -83,8 +83,8 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _load_automorphism(spec_text: str) -> Automorphism:
-    """A named automorphism, or one from a JSON file or stdin ('-')."""
+def _load_automorphism(spec_text: str, n: int) -> Automorphism:
+    """A named automorphism, or one of sl(n) from a JSON file or stdin ('-')."""
     if spec_text in NAMED_AUTOMORPHISMS:
         return named_automorphism(spec_text)
     try:
@@ -95,9 +95,12 @@ def _load_automorphism(spec_text: str) -> Automorphism:
             f"{', '.join(sorted(NAMED_AUTOMORPHISMS))}, and not a readable "
             f"file ({exc.strerror})") from None
     try:
-        return Automorphism.from_json(json.loads(raw))
+        auto = Automorphism.from_json(json.loads(raw))
+        if auto.algebra.n != n:
+            raise ValueError(f"an automorphism of sl({auto.algebra.n}), not of sl({n})")
     except _MALFORMED as exc:
         raise _malformed("automorphism", spec_text, exc) from None
+    return auto
 
 
 def _load_grading(path: str):
@@ -248,7 +251,7 @@ def cmd_grading_coarsen(args) -> int:
 
 def cmd_normalizer_check(args) -> int:
     entry = catalog(args.catalog)
-    auto = _load_automorphism(args.auto)
+    auto = _load_automorphism(args.auto, entry.grading.algebra.n)
     verdict = normalizes(auto, entry.spec)
     perm = induced_permutation(auto, entry.grading) if verdict else None
     lines = [f"{args.auto} normalizes the {args.catalog} group: {verdict}"]
@@ -304,7 +307,7 @@ def cmd_normalizer_group(args) -> int:
 
 def cmd_normalizer_linearize(args) -> int:
     entry = catalog(args.catalog)
-    auto = _load_automorphism(args.auto)
+    auto = _load_automorphism(args.auto, entry.grading.algebra.n)
     if not normalizes(auto, entry.spec):
         _emit(args, [f"{args.auto} does not normalize the {args.catalog} group"],
               {"catalog": args.catalog, "automorphism": args.auto,

@@ -1,7 +1,9 @@
 """Exact dense linear algebra over cyclotomic numbers.
 
 Matrices are immutable with all entries embedded into one shared cyclotomic
-order.  Subspaces are stored as canonical reduced-row-echelon bases, so two
+order.  Products, transposes and inverses build their results through
+`_exact`, which trusts that invariant instead of re-checking every entry.
+Subspaces are stored as canonical reduced-row-echelon bases, so two
 equal subspaces always have identical basis tuples.
 """
 from __future__ import annotations
@@ -97,27 +99,34 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        zero = CycloNumber.zero(lcm(self.order, other.order))
+        order = lcm(self.order, other.order)
+        left, right = self.entries, other.entries
+        if self.order != order:
+            left = [e.embed(order) for e in left]
+        if other.order != order:
+            right = [e.embed(order) for e in right]
+        zero = CycloNumber.zero(order)
+        n, m = self.cols, other.cols
         out = []
-        for i in range(self.rows):
-            lrow = self.row(i)
-            for j in range(other.cols):
-                acc = zero
-                for k, a in enumerate(lrow):
-                    if not a.is_zero():
-                        b = other.entries[k * other.cols + j]
-                        if not b.is_zero():
-                            acc = acc + a * b
-                out.append(acc)
-        return Matrix(self.rows, other.cols, out)
+        for i in range(0, self.rows * n, n):
+            terms = [(a, k * m) for k, a in enumerate(left[i:i + n]) if not a.is_zero()]
+            for j in range(m):
+                acc = None
+                for a, start in terms:
+                    b = right[start + j]
+                    if not b.is_zero():
+                        acc = a * b if acc is None else acc + a * b
+                out.append(zero if acc is None else acc)
+        return _exact(self.rows, m, tuple(out), order)
 
     def scale(self, scalar) -> "Matrix":
         scalar = as_cyclo(scalar)
         return Matrix(self.rows, self.cols, [scalar * a for a in self.entries])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        entries, cols = self.entries, self.cols
+        return _exact(cols, self.rows,
+                      tuple([e for j in range(cols) for e in entries[j::cols]]), self.order)
 
     def apply(self, vector) -> tuple:
         """Matrix times column vector (a tuple of cyclotomic numbers)."""
@@ -144,36 +153,38 @@ class Matrix:
 
     # --- elimination ------------------------------------------------------
 
-    def _echelon(self):
-        """Row-reduce a copy; returns (rows, pivot_cols)."""
-        work = self.row_list()
+    @staticmethod
+    def _echelon(work: list, pivot_cols: int):
+        """Row-reduce the row lists `work` in place, pivoting in the first
+        `pivot_cols` columns only; returns (work, the pivot columns)."""
+        rows = len(work)
         pivots = []
         r = 0
-        for col in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if not work[i][col].is_zero()), None)
+        for col in range(pivot_cols):
+            pivot = next((i for i in range(r, rows) if not work[i][col].is_zero()), None)
             if pivot is None:
                 continue
             if pivot != r:
                 work[r], work[pivot] = work[pivot], work[r]
             inv = work[r][col].inverse()
             work[r] = [v if v.is_zero() else v * inv for v in work[r]]
-            for i in range(self.rows):
+            for i in range(rows):
                 if i != r and not work[i][col].is_zero():
                     f = work[i][col]
                     work[i] = [v if w.is_zero() else v - f * w
                                for v, w in zip(work[i], work[r])]
             pivots.append(col)
             r += 1
-            if r == self.rows:
+            if r == rows:
                 break
         return work, pivots
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        work, pivots = self._echelon()
+        work, pivots = self._echelon(self.row_list(), self.cols)
         return Matrix.from_rows(work), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(self._echelon(self.row_list(), self.cols)[1])
 
     def det(self) -> CycloNumber:
         if self.rows != self.cols:
@@ -198,18 +209,19 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        ident = Matrix.identity(n)
-        work = [list(self.row(i)) + list(ident.row(i)) for i in range(n)]
-        aug = Matrix.from_rows(work)
-        reduced, pivots = aug.rref()
-        if list(pivots) != list(range(n)):
+        n, order = self.rows, self.order
+        zero, one = CycloNumber.zero(order), CycloNumber.one(order)
+        # [A | I], eliminated in place: A's columns are pivots iff A is invertible
+        work = [list(self.row(i)) + [one if j == i else zero for j in range(n)]
+                for i in range(n)]
+        work, pivots = self._echelon(work, n)
+        if len(pivots) != n:
             raise ValueError("matrix is singular")
-        return Matrix.from_rows([list(reduced.row(i))[n:] for i in range(n)])
+        return _exact(n, n, tuple([e for row in work for e in row[n:]]), order)
 
     def kernel(self) -> "Subspace":
         """Canonical basis of the right null space."""
-        work, pivots = self._echelon()
+        work, pivots = self._echelon(self.row_list(), self.cols)
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         zero = CycloNumber.zero(self.order)
@@ -266,6 +278,22 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(repr(e) for e in self.row(i)) for i in range(self.rows))
         return f"Matrix[{body}]"
+
+
+# The slot setters, which get round the refusing __setattr__ at less cost
+# than object.__setattr__.
+_set_rows, _set_cols, _set_entries, _set_order = \
+    (getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+
+
+def _exact(rows: int, cols: int, entries: tuple, order: int) -> Matrix:
+    """The matrix of `entries`, which all have order `order` already."""
+    m = object.__new__(Matrix)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_entries(m, entries)
+    _set_order(m, order)
+    return m
 
 
 def vec_is_zero(vector) -> bool:

@@ -95,6 +95,29 @@ def test_representative_rules_match_the_actions():
         assert conjugate(h, g).action == h.action.inverse() * g.action * h.action
 
 
+def test_carried_inverse_transposes_are_exact():
+    # compose reads the factor's carried rep^(-T), and inverse hands it over
+    # without eliminating: each carried matrix must be rep^(-T) exactly,
+    # scalar order included, and inverse must keep the representative rule
+    def carried(f):
+        inv_t = f._inverse_transpose()
+        expected = f.rep.transpose().inverse()
+        assert inv_t.to_json() == expected.to_json()
+        return f
+
+    for _ in range(25):
+        f, g, h = rand_word(), rand_word(), rand_word()
+        fg = carried(compose(f, g))
+        f_inv = inverse(f)
+        assert f_inv._inv_t is not None  # handed over, not recomputed
+        carried(f_inv)
+        rule = f.rep.inverse() if f.kind == "inner" else f.rep.transpose()
+        assert f_inv.rep.to_json() == rule.to_json()
+        carried(inverse(fg))
+        carried(conjugate(h, g))
+        carried(inverse(f_inv))
+
+
 def test_conjugate_preserves_kind_of_middle():
     for _ in range(20):
         h, g = rand_automorphism(), rand_automorphism()

@@ -291,6 +291,21 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
         assert all(name in err for name in NAMED_AUTOMORPHISMS)
 
 
+def test_singular_or_wrongly_sized_automorphism_is_malformed_input(capsys, tmp_path):
+    one, zero = {"order": 1, "terms": [[1, 1, 0]]}, {"order": 1, "terms": []}
+    cases = {"singular.json": (3, [zero] * 9, "ValueError: matrix is singular"),
+             "sl2.json": (2, [one, zero, zero, one],
+                          "ValueError: an automorphism of sl(2), not of sl(3)")}
+    for name, (n, entries, reason) in cases.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(
+            {"kind": "inner", "rep": {"rows": n, "cols": n, "entries": entries}}))
+        for sub in ("check", "linearize"):
+            err = assert_one_line_usage_error(
+                capsys, ["normalizer", sub, "--catalog", "g4", "--auto", str(path)])
+            assert err == f"error: malformed automorphism in {str(path)!r}: {reason}\n"
+
+
 def test_unknown_catalog_is_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["grading", "show", "--catalog", "g9"])

@@ -1,10 +1,11 @@
 """Exact linear algebra over cyclotomic scalars."""
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from gradelab.cyclo import zeta
+from gradelab.cyclo import CycloNumber, euler_phi, zeta
 from gradelab.linalg import Matrix, Subspace, as_cyclo, vec_is_zero
 
 rng = random.Random(41507)
@@ -45,6 +46,75 @@ def test_singular_matrix_has_no_inverse():
     singular = Matrix(2, 2, [as_cyclo(v) for v in (1, 2, 2, 4)])
     with pytest.raises(ValueError):
         singular.inverse()
+    w = zeta(12)  # rows 1 and 2 dependent, over mixed orders 12 and 8
+    singular = Matrix.from_rows([[1, w, 0], [w, w * w, 0], [3, zeta(8), 1]])
+    with pytest.raises(ValueError, match="matrix is singular"):
+        singular.inverse()
+
+
+def rand_cyclo_matrix(rows, cols, orders, density=0.5):
+    """Entries of the given scalar orders, small coordinates, some zero."""
+    entries = []
+    for _ in range(rows * cols):
+        order = rng.choice(orders)
+        coeffs = [rng.randint(-2, 2) for _ in range(euler_phi(order))]
+        entries.append(CycloNumber(order, coeffs) if rng.random() < density
+                       else CycloNumber.zero(order))
+    return Matrix(rows, cols, entries)
+
+
+def reference_product(a, b):
+    zero = CycloNumber.zero(lcm(a.order, b.order))
+    return Matrix(a.rows, b.cols, [sum((a[i, k] * b[k, j] for k in range(a.cols)), zero)
+                                   for i in range(a.rows) for j in range(b.cols)])
+
+
+def reference_inverse(a):
+    # [A | I] through rref, the right half read back through the constructor
+    n = a.rows
+    aug = Matrix.from_rows([list(a.row(i)) + [int(i == j) for j in range(n)]
+                            for i in range(n)])
+    reduced, pivots = aug.rref()
+    assert pivots == tuple(range(n))
+    return Matrix.from_rows([reduced.row(i)[n:] for i in range(n)])
+
+
+def scalar_fields(m):
+    return [(e.order, e.nums, e.den) for e in m.entries]
+
+
+def assert_same_matrix(m, ref):
+    # field for field, each scalar's order and coordinates included; m must
+    # also be what the checking constructor makes of m's own entries
+    rebuilt = Matrix(m.rows, m.cols, m.entries)
+    assert scalar_fields(m) == scalar_fields(ref) == scalar_fields(rebuilt)
+    assert (m.rows, m.cols, m.order) == (ref.rows, ref.cols, ref.order) == \
+        (rebuilt.rows, rebuilt.cols, rebuilt.order)
+    assert m == ref and hash(m) == hash(ref)
+
+
+def test_one_pass_products_and_inverses_match_the_constructor():
+    cases = [((3, 3, (1,)), (3, 3, (3,))),       # 1 x 3
+             ((3, 3, (4,)), (3, 3, (3,))),       # 4 x 3 -> 12
+             ((3, 2, (3,)), (2, 4, (3,))),       # orders agree, no embedding
+             ((8, 8, (1, 3, 4, 8)), (8, 8, (1, 3, 4, 8)))]
+    for left, right in cases:
+        a, b = rand_cyclo_matrix(*left), rand_cyclo_matrix(*right)
+        assert_same_matrix(a * b, reference_product(a, b))
+        zero = Matrix.zeros(a.rows, a.cols)
+        assert_same_matrix(zero * b, reference_product(zero, b))
+        assert_same_matrix(b.transpose() * zero.transpose(),
+                           reference_product(b.transpose(), zero.transpose()))
+        assert_same_matrix(a.transpose(), Matrix(a.cols, a.rows, [
+            a[i, j] for j in range(a.cols) for i in range(a.rows)]))
+    for orders, n in (((1,), 3), ((1, 3), 3), ((4, 3), 3), ((1, 3, 4, 8), 8)):
+        while True:
+            a = rand_cyclo_matrix(n, n, orders, density=0.4)
+            if not a.det().is_zero():
+                break
+        inv = a.inverse()
+        assert_same_matrix(inv, reference_inverse(a))
+        assert a * inv == Matrix.identity(n)
 
 
 def test_det_multiplicative():

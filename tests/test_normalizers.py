@@ -1,6 +1,9 @@
 """Normalizer quotients N(G)/G acting on grading parts."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -301,6 +304,32 @@ def test_closure_builds_actions_for_the_generators_only(monkeypatch):
     assert q.order == 48
     assert 0 < len(built) <= len(gens)
     assert large == []
+
+
+G4_CLOSURE_INVERSES = """
+from gradelab.gradings import catalog
+from gradelab.linalg import Matrix
+from gradelab.normalizers import _closure, catalog_normalizer_generators
+entry = catalog("g4")  # the spec's elements are built here, before counting
+gens = catalog_normalizer_generators("g4")
+calls, inverse = [], Matrix.inverse
+Matrix.inverse = lambda a: calls.append(a.rows) or inverse(a)
+states, _ = _closure(entry.spec, entry.grading, gens)
+print(len(states), len(calls))
+"""
+
+
+def test_g4_closure_inverts_each_representative_once():
+    # automorphisms carry their inverse transposes, so a generator or spec
+    # element composed again and again is inverted once.  A fresh process,
+    # because the cached spec elements keep what earlier tests computed.
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", G4_CLOSURE_INVERSES], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    states, inverses = map(int, out.split())
+    assert states == 48
+    assert inverses <= 62
 
 
 def test_closure_cap_is_enforced(monkeypatch):
