@@ -133,7 +133,6 @@ class _ComboTable:
     binary combinations with zero residual.
     """
 
-    triple: tuple
     factor_vars: tuple
     allowed: int
 
@@ -192,7 +191,6 @@ def generate_equations(g: Grading) -> ContractionSystem:
                  (term(lc, la, lb, t3), t3)]
 
         combo_tables.append(_ComboTable(
-            triple=(names[a], names[b], names[c]),
             factor_vars=tuple(mono for mono, _ in terms),
             allowed=_allowed_mask((t1, t2, t3))))
 
@@ -640,15 +638,20 @@ def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
     the identity image and take the minimum with each element's image, in
     place; sorting them in place then leaves each orbit as one run, whose
     value is the representative and whose length is the size.  Returns
-    Orbit records sorted by representative mask.  With include_free the
-    orbits are those of the whole product set, materialized
-    (`SolutionSet.masks`) as the starting least image; an element's image
-    is its push of the constrained patterns OR-ed (row-major) with its push
-    of the free-bit cube, since a bit permutation distributes over OR,
-    written into one buffer reused for every element, and sets beyond
-    MATERIALIZE_CAP are refused to keep memory bounded.  Without it the
-    orbits are those of the constrained patterns alone, i.e. solutions with
-    every unconstrained pair switched off, a subset closed under the action.
+    Orbit records sorted by representative mask.
+
+    Without include_free the orbits are those of the constrained patterns,
+    i.e. solutions with every unconstrained pair switched off, a subset
+    closed under the action.  On the catalog gradings every unconstrained
+    pair scales a zero bracket, so these orbits are the distinct contracted
+    algebras up to the quotient; `burnside_orbit_count` counts them by a
+    second route.  With include_free (the default; perfbench's `contract`
+    workload lists these) the orbits are those of the whole product set,
+    materialized (`SolutionSet.masks`) as the starting least image; an
+    element's image is its push of the constrained patterns OR-ed
+    (row-major) with its push of the free-bit cube, since a bit permutation
+    distributes over OR, written into one buffer reused for every element,
+    and sets beyond MATERIALIZE_CAP are refused to keep memory bounded.
     """
     symmetries = _symmetries(solutions, quotient)
     if include_free:
@@ -678,29 +681,17 @@ def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
 
 
 def burnside_orbit_count(solutions: SolutionSet, quotient: PermutationGroup) -> int:
-    """Number of orbits of the quotient on the whole solution set, by Burnside.
+    """Number of orbits of the quotient on the constrained patterns, by Burnside.
 
-    An element fixes a full solution when it fixes its constrained pattern
-    and its free bits; it fixes a free-bit pattern when the pattern is
-    constant on each of its cycles on the free variables.  So each element
-    contributes its fixed constrained patterns times 2^(its cycles on the
-    free variables), and the orbit count is the sum over the group divided
-    by the order.  Nothing is materialized.  Raises ValueError if the set is
-    not invariant (`_symmetries`) or the sum is not divisible by the order.
+    A second route to `len(symmetry_orbits(..., include_free=False))`: each
+    element contributes the constrained patterns its push fixes, and the
+    orbit count is the sum over the group divided by the order.  Nothing is
+    listed or sorted.  Raises ValueError if the set is not invariant
+    (`_symmetries`) or the sum is not divisible by the order.
     """
-    system = solutions.system
     rows = solutions.active_masks
-    total = 0
-    for vp, pushed in _symmetries(solutions, quotient):
-        cycles, seen = 0, set()
-        for f in system.free:
-            if f in seen:
-                continue
-            cycles += 1
-            while f not in seen:
-                seen.add(f)
-                f = vp[f]
-        total += int(np.count_nonzero(pushed == rows)) << cycles
+    total = sum(int(np.count_nonzero(pushed == rows))
+                for _, pushed in _symmetries(solutions, quotient))
     if total % quotient.order:
         raise ValueError(f"Burnside sum {total} is not divisible by the group "
                          f"order {quotient.order}")

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import cyclo
 from .cyclo import CycloNumber, zeta
@@ -368,10 +368,8 @@ class MadGroupSpec:
     name: str
     separating_generators: tuple
     membership: Callable[[Automorphism], bool]
-    is_infinite: bool
     elements: tuple | None = None
     probes: tuple | None = None
-    description: str = ""
 
 
 def _diagonal_entries(m: Matrix):
@@ -447,9 +445,7 @@ def mad_group_spec(name: str) -> MadGroupSpec:
             separating_generators=(make_ad(Matrix.diagonal([1, zeta(3), 1])),
                                    make_ad(Matrix.diagonal([1, 1, zeta(3)]))),
             membership=_g1_member,
-            is_infinite=True,
             probes=(make_ad(Matrix.diagonal([1, 2, 4])),),
-            description="all diagonal inner automorphisms (maximal torus)",
         )
     if name == "g2":
         inner = [make_ad(Matrix.diagonal([1, 1, -1])),
@@ -462,9 +458,7 @@ def mad_group_spec(name: str) -> MadGroupSpec:
             name="g2",
             separating_generators=tuple(inner) + (make_out(Matrix.identity(3)),),
             membership=_g2_member,
-            is_infinite=False,
             elements=elements,
-            description="sign-diagonal inner and outer automorphisms (8 elements)",
         )
     if name == "g3":
         half = Fraction(1, 2)
@@ -474,18 +468,14 @@ def mad_group_spec(name: str) -> MadGroupSpec:
             separating_generators=(make_ad(Matrix.diagonal([1, zeta(8), zeta(8, 7)])),
                                    make_out(swap_matrix())),
             membership=_g3_member,
-            is_infinite=True,
             probes=(make_ad(Matrix.diagonal([1, 2, half])), make_out(outer_probe)),
-            description="diag(e,a,1/a) inner plus antidiagonal-block outer family",
         )
     if name == "g4":
         return MadGroupSpec(
             name="g4",
             separating_generators=(make_ad(clock_matrix()), make_ad(shift_matrix())),
             membership=_g4_member,
-            is_infinite=False,
             elements=tuple(make_ad(m) for m in _pauli_matrices()),
-            description="conjugations by the nine Pauli monomials P^k Q^j",
         )
     raise ValueError(f"unknown MAD-group {name!r}; known: g1, g2, g3, g4")
 
@@ -541,18 +531,11 @@ _CATALOG_LABELS = {
 }
 
 
-class CatalogEntry(tuple):
-    """(spec, grading, group, labels) with attribute access."""
+class CatalogEntry(NamedTuple):
+    """A catalog grading and the MAD-group spec it is built from."""
 
-    __slots__ = ()
-
-    def __new__(cls, spec, grading, group, labels):
-        return super().__new__(cls, (spec, grading, group, labels))
-
-    spec = property(lambda self: self[0])
-    grading = property(lambda self: self[1])
-    group = property(lambda self: self[2])
-    labels = property(lambda self: self[3])
+    spec: MadGroupSpec
+    grading: Grading
 
 
 CATALOG_NAMES = ("g1", "g2", "g3", "g4")
@@ -588,4 +571,4 @@ def catalog(name: str) -> CatalogEntry:
         orders, labels = _CATALOG_LABELS[name]
         group = AbelianGroup(orders)
     grading = Grading(computed.algebra, reordered, group, labels)
-    return CatalogEntry(spec, grading, group, tuple(grading.labels))
+    return CatalogEntry(spec, grading)

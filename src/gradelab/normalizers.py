@@ -197,7 +197,6 @@ def _closure(spec: MadGroupSpec, g: Grading, normalizer_gens):
                 for h in gens]
     ident = identity_automorphism(g.algebra.n)
     start = (Permutation.identity(g.num_parts), 0, ident)
-    inverses: dict = {start[:2]: ident}
 
     def check(candidate: Automorphism, context: str):
         if not spec.membership(candidate):
@@ -210,10 +209,7 @@ def _closure(spec: MadGroupSpec, g: Grading, normalizer_gens):
         witness = state[2]
         existing = seen.get(key)
         if existing is not None:
-            inv = inverses.get(key)
-            if inv is None:
-                inv = inverses[key] = inverse(existing[2])
-            check(compose(inv, witness), "closure collision")
+            check(compose(inverse(existing[2]), witness), "closure collision")
             return
         sibling = seen.get((key[0], 1 - key[1]))
         if sibling is not None:

@@ -344,14 +344,24 @@ def check_7(bench: _Workbench) -> str:
 
 @_criterion(8, "solution symmetry invariance")
 def check_8(bench: _Workbench) -> str:
-    """Solution sets are invariant under the quotient action; orbit counts
-    agree with Burnside's lemma."""
+    """Solution sets are invariant under the quotient action.  The free pairs
+    are exactly the pairs with a zero bracket, so the constrained patterns
+    are the distinct contracted algebras; their orbit count agrees with
+    Burnside's lemma."""
     rng = random.Random(SEED + 8)
     details = []
     for name in ("g1", "g2", "g3", "g4"):
         system = bench.system(name)
         solved = bench.solutions(name)
         q = bench.quotient(name)
+        g = catalog(name).grading
+        zero = {con.pair_key(g.labels[i], g.labels[j])
+                for (i, j), k in verify_grading(g).bracket_targets.items() if k is None}
+        free = {system.variables[f] for f in system.free}
+        if free != zero:
+            raise _Fail(f"{name}: {len(free - zero)} free pairs with a nonzero "
+                        f"bracket, {len(zero - free)} constrained pairs with a "
+                        "zero bracket")
         if not con.is_invariant(solved, q):
             raise _Fail(f"{name}: a pushforward leaves the solution set")
         varperms = [con.pair_variable_permutation(p, system)
@@ -369,26 +379,23 @@ def check_8(bench: _Workbench) -> str:
                 if not solved.contains_mask(image):
                     raise _Fail(f"{name}: pushforward of solution {base} is "
                                 "not a solution")
-        include_free = len(solved) <= con.MATERIALIZE_CAP
-        orbits = con.symmetry_orbits(solved, q, include_free=include_free)
+        orbits = con.symmetry_orbits(solved, q, include_free=False)
         total = sum(o.size for o in orbits)
-        want = len(solved) if include_free else solved.active_count
-        if total != want:
-            raise _Fail(f"{name}: orbit sizes sum to {total}, not {want}")
+        if total != solved.active_count:
+            raise _Fail(f"{name}: orbit sizes sum to {total}, not "
+                        f"{solved.active_count}")
         bad = [o for o in orbits if q.order % o.size]
         if bad:
             raise _Fail(f"{name}: orbit size {bad[0].size} does not divide {q.order}")
-        # Burnside counts the full-set orbits without materializing them: a
-        # second route where the orbits are listed, the only one beyond the cap
         try:
             burnside = con.burnside_orbit_count(solved, q)
         except ValueError as exc:
             raise _Fail(f"{name}: {exc}")
-        if include_free and burnside != len(orbits):
+        if burnside != len(orbits):
             raise _Fail(f"{name}: Burnside counts {burnside} orbits, not {len(orbits)}")
-        scope = "all" if include_free else "constrained-pattern"
-        details.append(f"{name}: {len(orbits)} orbits of {total} {scope} "
-                       f"solutions, {burnside} full-set orbits by Burnside")
+        details.append(f"{name}: {len(free)} free pairs bracket to zero; "
+                       f"{len(orbits)} orbits of {total} constrained patterns, "
+                       f"{burnside} by Burnside")
     return "; ".join(details)
 
 

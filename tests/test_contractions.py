@@ -17,7 +17,7 @@ from gradelab.contractions import (ContractionSystem, Equation, NodeCapExceeded,
                                    sweep_equations, sweep_oracle,
                                    symmetry_orbits)
 from gradelab.cyclo import CycloNumber
-from gradelab.gradings import AbelianGroup, Grading, catalog
+from gradelab.gradings import AbelianGroup, Grading, catalog, verify_grading
 from gradelab.liealg import special_linear
 from gradelab.linalg import Subspace
 from gradelab.normalizers import (Permutation, PermutationGroup, quotient_group,
@@ -75,13 +75,24 @@ def test_every_equation_is_an_equality_chain():
             assert " = " in text and not text.endswith("0")
 
 
-def test_variables_are_unordered_label_pairs_with_nonzero_bracket():
-    s = system("g4")
-    labels = set(catalog("g4").labels)
-    for a, b in s.variables:
-        assert a in labels and b in labels
-        assert pair_key(a, b) == (a, b)
-    assert len(set(s.variables)) == s.num_variables
+def test_a_variable_is_free_iff_its_pair_brackets_to_zero():
+    # the certificate of criterion 8, read from the grading certificate and
+    # from the adapted structure table: an unconstrained pair scales a zero
+    # bracket, so the constrained patterns are the distinct contracted algebras
+    for name in ("g1", "g2", "g3", "g4"):
+        s, grading = system(name), catalog(name).grading
+        labels = grading.labels
+        for a, b in s.variables:
+            assert a in labels and b in labels
+            assert pair_key(a, b) == (a, b)
+        assert len(set(s.variables)) == s.num_variables
+        zero = {pair_key(labels[i], labels[j])
+                for (i, j), k in verify_grading(grading).bracket_targets.items()
+                if k is None}
+        part_of, table = _uncontracted_adapted(grading)
+        nonzero = {pair_key(labels[part_of[i]], labels[part_of[j]]) for i, j in table.upper}
+        assert zero == set(s.variables) - nonzero, name
+        assert {s.variables[f] for f in s.free} == zero, name
 
 
 def test_mask_assignment_round_trip():
@@ -153,13 +164,13 @@ def _small_system(n_active, seed):
                           triple=(), pivot_coords=(), rank=0)
                  for v in active]
     everyone = active + inactive
-    tables = [_ComboTable(triple=(), factor_vars=(
+    tables = [_ComboTable(factor_vars=(
                   mono(*pick.choices(everyone, k=2)),
                   None if k == 0 else mono(pick.choice(inactive), pick.choice(everyone)),
                   mono(*pick.choices(everyone, k=2))),
                   allowed=pick.getrandbits(8) | pick.getrandbits(8) | 1)
               for k in range(3)]
-    tables.append(_ComboTable(triple=(), factor_vars=(None, None, None), allowed=0xFF))
+    tables.append(_ComboTable(factor_vars=(None, None, None), allowed=0xFF))
     variables = [(v, v) for v in range(n_active + 2)]
     s = ContractionSystem(None, variables, equations, tuple(tables))
     assert list(s.active) == active
@@ -502,10 +513,19 @@ def test_orbits_match_the_least_pushes_of_the_materialized_set():
         orbit.size = 1
 
 
-def test_burnside_counts_the_full_set_orbits():
-    expected = {"g1": 179_664, "g2": 5_350, "g3": 17_282_816, "g4": 589_082}
+def test_burnside_counts_the_constrained_pattern_orbits():
+    expected = {"g1": 47, "g2": 75, "g3": 643, "g4": 188}
     for name, count in expected.items():
         assert burnside_orbit_count(solutions(name), quotient(name)) == count, name
+
+
+def test_criterion_8_reports_a_burnside_miscount(monkeypatch):
+    count = contractions.burnside_orbit_count
+    monkeypatch.setattr(contractions, "burnside_orbit_count",
+                        lambda solved, q: count(solved, q) + 1)
+    result = selfcheck.run_check(8)
+    assert not result.passed
+    assert result.detail == "g1: Burnside counts 48 orbits, not 47"
 
 
 def test_factored_images_equal_the_push_of_the_materialized_set():

@@ -71,7 +71,7 @@ GOLDEN = [
     ('grading coarsen --catalog g2 --merge 1,2', 1,
      '3a76e19404eba08657119177f4ee8f9af3e028795b235140fd8e7dbe8d08df46'),
     ('selfcheck', 0,
-     'a8a65c787b6daf34afcc3049db5b1f676002b9c676e5c7a600fd59e133140b9c'),
+     'd1f16b653dae6da8435bfe75e2f4d90dc0a57199626aa3da381de7f89cb0335c'),
 ]
 
 

@@ -22,7 +22,7 @@ def span_of(*texts):
 
 def part_labels(name):
     entry = catalog(name)
-    return dict(zip(entry.grading.parts, entry.labels))
+    return dict(zip(entry.grading.parts, entry.grading.labels))
 
 
 def test_part_dimension_patterns():
@@ -83,15 +83,15 @@ def test_verify_rejects_a_corrupted_decomposition():
 
 def test_catalog_labelings_are_additive():
     for name in CATALOG_NAMES:
-        entry = catalog(name)
-        assert verify_labeling(entry.grading, entry.group, entry.labels), name
+        g = catalog(name).grading
+        assert verify_labeling(g, g.group, g.labels), name
 
 
 def test_g1_search_finds_the_frozen_labeling():
-    entry = catalog("g1")
-    assert entry.group.cyclic_orders == (3, 3)
-    assert entry.labels == ((0, 0), (0, 1), (1, 0), (1, 1),
-                            (2, 2), (2, 0), (0, 2))
+    g = catalog("g1").grading
+    assert g.group.cyclic_orders == (3, 3)
+    assert g.labels == ((0, 0), (0, 1), (1, 0), (1, 1),
+                        (2, 2), (2, 0), (0, 2))
 
 
 def test_g1_also_admits_a_z7_labeling():
@@ -123,10 +123,10 @@ def test_search_finds_a_labeling_iff_one_exists(name, orders):
 
 
 def test_verify_labeling_rejects_a_swap():
-    entry = catalog("g2")
-    labels = list(entry.labels)
+    g = catalog("g2").grading
+    labels = list(g.labels)
     labels[1], labels[2] = labels[2], labels[1]
-    assert not verify_labeling(entry.grading, entry.group, labels)
+    assert not verify_labeling(g, g.group, labels)
 
 
 def test_coarsen_can_produce_a_coarser_grading():
@@ -215,7 +215,7 @@ def test_from_json_reads_every_row_spelling_and_the_coarsen_wrapper(tmp_path):
     # scales H2), with no ambient_dim
     i = {"order": 4, "terms": [[1, 1, 1]]}
     document = {"n": 3, "group": [2, 2, 2],
-                "labels": [list(l) for l in catalog("g2").labels],
+                "labels": [list(l) for l in catalog("g2").grading.labels],
                 "parts": [{"basis": [[0, 0, 0, 0, 0, 0, "1/2", 0],
                                      [0, 0, 0, 0, 0, 0, 0, i]]},
                           {"basis": ["E21 + E12"]},
