@@ -455,8 +455,9 @@ class SolutionSet:
     def masks(self):
         """Full solution masks, lazily, as Python ints: each active pattern in
         turn (row-major), combined with every pattern of `free_cube`."""
-        cube = self.free_cube().tolist()
-        return (base | bits for base in self.active_masks.tolist() for bits in cube)
+        cube = self.free_cube()
+        return itertools.chain.from_iterable((base | cube).tolist()
+                                             for base in self.active_masks)
 
     def __repr__(self):
         return (f"SolutionSet({self.active_count} constrained patterns x "
@@ -627,57 +628,86 @@ class Orbit(NamedTuple):
     size: int
 
 
+def _block_orbits(masks: np.ndarray, images, order: int):
+    """(representatives, orbit sizes) among one block of masks, from the
+    block's image under each element of a group of `order` elements.
+
+    A mask represents its orbit iff no image of it is smaller, and its orbit
+    has order / |stabilizer| members, the stabilizer being the elements
+    whose image of the mask is the mask itself.  Raises ValueError if a
+    count is 0 or does not divide the order, which no group allows.
+    """
+    least = masks.copy()
+    fixed = np.zeros(masks.shape, dtype=np.min_scalar_type(order))
+    for image in images:
+        np.minimum(least, image, out=least)
+        fixed += image == masks
+    if not fixed.all() or (order % fixed).any():
+        raise ValueError(f"the {order} quotient elements are not a group: a mask's "
+                         f"stabilizer count is 0 or does not divide {order}")
+    first = least == masks
+    return masks[first], order // fixed[first]
+
+
 def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
                     include_free: bool = True) -> list:
     """Partition the solution set into orbits of the quotient action.
 
     `quotient.elements` must be a whole group (closed under composition):
-    each orbit is then labeled by the least image of any of its members.
-    Invariance is decided once per element on the constrained patterns
-    (`_symmetries`; ValueError if it fails).  The least images start from
-    the identity image and take the minimum with each element's image, in
-    place; sorting them in place then leaves each orbit as one run, whose
-    value is the representative and whose length is the size.  Returns
-    Orbit records sorted by representative mask.
+    each orbit is then labeled by its least mask.  Invariance is decided
+    once per element on the constrained patterns (`_symmetries`; ValueError
+    if it fails).  Each block of masks is compared with its image under
+    every element (`_block_orbits`): a mask no image undercuts is a
+    representative, and the elements that fix it give its orbit size by
+    orbit-stabilizer.  Only the representatives are sorted.  Returns Orbit
+    records sorted by representative mask.
 
     Without include_free the orbits are those of the constrained patterns,
     i.e. solutions with every unconstrained pair switched off, a subset
-    closed under the action.  On the catalog gradings every unconstrained
-    pair scales a zero bracket, so these orbits are the distinct contracted
-    algebras up to the quotient; `burnside_orbit_count` counts them by a
-    second route.  With include_free (the default; perfbench's `contract`
-    workload lists these) the orbits are those of the whole product set,
-    materialized (`SolutionSet.masks`) as the starting least image; an
-    element's image is its push of the constrained patterns OR-ed
-    (row-major) with its push of the free-bit cube, since a bit permutation
-    distributes over OR, written into one buffer reused for every element,
-    and sets beyond MATERIALIZE_CAP are refused to keep memory bounded.
+    closed under the action; the patterns are the one block.  On the
+    catalog gradings every unconstrained pair scales a zero bracket, so
+    these orbits are the distinct contracted algebras up to the quotient;
+    `burnside_orbit_count` counts them by a second route.  With include_free
+    (the default; perfbench's `contract` workload lists these) the orbits
+    are those of the whole product set, taken in blocks of about
+    _PUSH_BLOCK masks (whole rows of the free-bit cube): an element's image
+    of a block is its push of the block's patterns OR-ed (row-major) with
+    its push of the cube, since a bit permutation distributes over OR.  No
+    array spans the whole set, but the records and the time grow with it,
+    so sets beyond MATERIALIZE_CAP are refused.
     """
     symmetries = _symmetries(solutions, quotient)
-    if include_free:
+    order = quotient.order
+    patterns = solutions.active_masks
+    if not include_free:
+        found = [_block_orbits(patterns, (pushed for _, pushed in symmetries), order)]
+    else:
         total = len(solutions)
         if total > MATERIALIZE_CAP:
             raise ValueError(
                 f"solution set of size {total} exceeds the materialization cap "
                 f"{MATERIALIZE_CAP}; pass include_free=False")
-        least = np.fromiter(solutions.masks(), dtype=np.uint64, count=total)
         cube = solutions.free_cube()
-        image = np.empty((solutions.active_count, cube.size), dtype=np.uint64)
-        for vp, pushed in symmetries:
-            np.bitwise_or(pushed[:, None], apply_variable_permutation(cube, vp), out=image)
-            np.minimum(least, image.ravel(), out=least)
-        del image
-    else:
-        least = solutions.active_masks.copy()
-        for _, pushed in symmetries:
-            np.minimum(least, pushed, out=least)
-    least.sort()
-    first = np.empty(least.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(least[1:], least[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return list(map(Orbit, least[starts].tolist(),
-                    np.diff(starts, append=least.size).tolist()))
+        pushed_cubes = [apply_variable_permutation(cube, vp) for vp, _ in symmetries]
+        row = np.dtype((np.uint64, (cube.size,)))
+        step = max(1, _PUSH_BLOCK // cube.size)
+        found = []
+        for lo in range(0, patterns.size, step):
+            bases = patterns[lo:lo + step]
+            # One np.fromiter row per pattern, not the broadcast bases[:, None] | cube:
+            # perfbench counts the masks an orbit pass builds by the elements np.fromiter
+            # returns (contractions.materialized_masks), and would not see a broadcast.
+            masks = np.fromiter((base | cube for base in bases), dtype=row,
+                                count=bases.size).ravel()
+            images = ((pushed[lo:lo + step, None] | pushed_cube).ravel()
+                      for (_, pushed), pushed_cube in zip(symmetries, pushed_cubes))
+            found.append(_block_orbits(masks, images, order))
+        if not found:
+            return []
+    reps = np.concatenate([r for r, _ in found])
+    sizes = np.concatenate([n for _, n in found])
+    by_rep = np.argsort(reps)
+    return list(map(Orbit, reps[by_rep].tolist(), sizes[by_rep].tolist()))
 
 
 def burnside_orbit_count(solutions: SolutionSet, quotient: PermutationGroup) -> int:

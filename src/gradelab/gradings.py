@@ -228,8 +228,12 @@ def _bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subsp
     return Subspace.from_vectors(algebra.dim, vectors)
 
 
+@lru_cache(maxsize=8)
 def verify_grading(g: Grading) -> GradingCertificate:
-    """Check that every pairwise bracket span sits inside a single part."""
+    """Check that every pairwise bracket span sits inside a single part.
+
+    The certificate is cached for the last few gradings and shared between
+    callers, who only read it."""
     targets = {}
     for i, j in itertools.product(range(g.num_parts), repeat=2):
         span = _bracket_span(g.algebra, g.parts[i], g.parts[j])

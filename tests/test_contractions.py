@@ -513,6 +513,34 @@ def test_orbits_match_the_least_pushes_of_the_materialized_set():
         orbit.size = 1
 
 
+def test_orbits_do_not_depend_on_the_block_size(monkeypatch):
+    # one cube row per block, and blocks that leave a ragged last one
+    # (g1: 255 patterns in blocks of 2 rows; g2: 779 in blocks of 128)
+    default = {(name, include_free): symmetry_orbits(solutions(name), quotient(name),
+                                                     include_free=include_free)
+               for name in ("g1", "g2") for include_free in (True, False)}
+    for block in (1, 2 * 8192):
+        monkeypatch.setattr(contractions, "_PUSH_BLOCK", block)
+        for (name, include_free), orbits in default.items():
+            assert symmetry_orbits(solutions(name), quotient(name),
+                                   include_free=include_free) == orbits, \
+                (block, name, include_free)
+
+
+def test_orbits_refuse_an_element_list_that_is_not_a_group():
+    q = quotient("g1")
+    degree = q.degree
+    identity = Permutation.identity(degree)
+    rest = [p for p in q.elements if p != identity]
+    assert len(rest) == q.order - 1
+    broken = PermutationGroup(degree, q.generators, rest)
+    assert len(_symmetries(solutions("g1"), broken)) == len(rest)
+    for include_free in (False, True):
+        with pytest.raises(ValueError, match="not a group") as info:
+            symmetry_orbits(solutions("g1"), broken, include_free=include_free)
+        assert "\n" not in str(info.value)
+
+
 def test_burnside_counts_the_constrained_pattern_orbits():
     expected = {"g1": 47, "g2": 75, "g3": 643, "g4": 188}
     for name, count in expected.items():

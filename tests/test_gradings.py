@@ -122,6 +122,16 @@ def test_search_finds_a_labeling_iff_one_exists(name, orders):
         assert verify_labeling(base, group, labels)
 
 
+def test_a_labeling_search_and_its_check_verify_the_grading_once():
+    base = Grading(sl3, catalog("g1").grading.parts)
+    z7 = AbelianGroup((7,))
+    verify_grading.cache_clear()
+    labels = search_labeling(base, z7)
+    assert verify_labeling(base, z7, labels)
+    assert verify_grading.cache_info().misses == 1
+    assert verify_grading.cache_info().maxsize == 8
+
+
 def test_verify_labeling_rejects_a_swap():
     g = catalog("g2").grading
     labels = list(g.labels)
