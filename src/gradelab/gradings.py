@@ -359,7 +359,7 @@ def coarsen(g: Grading, partition) -> Grading:
 
 # --- the sl(3,C) MAD-group catalog ------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MadGroupSpec:
     """A maximal Abelian diagonalizable group, given by generators and shape.
 
@@ -367,6 +367,9 @@ class MadGroupSpec:
     matrix shape (up to projective scale) and `probes` carries generic
     family elements whose conjugates detect normalizer violations; finite
     families list their elements outright.
+
+    A spec compares and hashes by identity: `mad_group_spec` builds each
+    once, and hashing by value would build the action of every element.
     """
 
     name: str

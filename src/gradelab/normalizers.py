@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 # ClosureCapExceeded is raised by _closure and stays importable from here
 from .autgrp import (Automorphism, ClosureCapExceeded, _bfs, compose,
@@ -226,13 +227,28 @@ def _closure(spec: MadGroupSpec, g: Grading, normalizer_gens):
     return states, gen_data
 
 
-def _quotient_and_inner(spec: MadGroupSpec, g: Grading, normalizer_gens) -> tuple:
+def _generator_key(normalizer_gens) -> tuple:
+    """The generators as a memo key: one (kind, automorphism) pair each.
+
+    Automorphisms compare by action alone, and an outer one may act as an
+    inner one does (on sl(2), Out_J is the identity); the kinds keep their
+    parities, and so their inner subquotients, apart.
+    """
+    return tuple((h.kind, h) for h in normalizer_gens)
+
+
+# Each catalog grading with its full and its inner generator list fits.
+@lru_cache(maxsize=8)
+def _quotient_and_inner(spec: MadGroupSpec, g: Grading, gen_key: tuple) -> tuple:
     """The quotient and its inner subquotient, both from one closure.
 
     The inner subquotient is the parity-0 slice of the closure's states,
-    generated by the parity-0 generators.
+    generated by the parity-0 generators.  Memoized, with a bound, per spec,
+    grading and `_generator_key`, so one process closes each once; the
+    results are immutable and shared.  A closure that raises is not kept,
+    so it raises again on the next call.
     """
-    states, gen_data = _closure(spec, g, normalizer_gens)
+    states, gen_data = _closure(spec, g, [h for _, h in gen_key])
 
     def group(parities):
         records = [QuotientElement(perm, parity, witness)
@@ -245,13 +261,21 @@ def _quotient_and_inner(spec: MadGroupSpec, g: Grading, normalizer_gens) -> tupl
 
 
 def quotient_group(spec: MadGroupSpec, g: Grading, normalizer_gens) -> PermutationGroup:
-    """The quotient N(G)/G as a permutation group on grading parts."""
-    return _quotient_and_inner(spec, g, normalizer_gens)[0]
+    """The quotient N(G)/G as a permutation group on grading parts.
+
+    It shares one memoized, bounded closure per spec, grading and
+    generators with `inner_subquotient`.
+    """
+    return _quotient_and_inner(spec, g, _generator_key(normalizer_gens))[0]
 
 
 def inner_subquotient(spec: MadGroupSpec, g: Grading, normalizer_gens) -> PermutationGroup:
-    """The subgroup of the quotient reachable by inner words (parity 0)."""
-    return _quotient_and_inner(spec, g, normalizer_gens)[1]
+    """The subgroup of the quotient reachable by inner words (parity 0).
+
+    It shares one memoized, bounded closure per spec, grading and
+    generators with `quotient_group`.
+    """
+    return _quotient_and_inner(spec, g, _generator_key(normalizer_gens))[1]
 
 
 def support_group(g: Grading) -> PermutationGroup:

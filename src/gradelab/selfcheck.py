@@ -5,8 +5,8 @@ requested subset in order and reports one pass/fail line per item.  A
 criterion's body returns its detail line when it passes and raises _Fail with
 the detail line when it fails; @_criterion registers it, times it and builds
 the CheckResult.  Shared intermediate objects (catalog gradings, quotient
-groups, equation systems) are computed once per process through a lazy
-workbench.
+groups, equation systems) are computed once per process: the first two
+through their library memos, the systems through a lazy workbench.
 """
 from __future__ import annotations
 
@@ -28,9 +28,9 @@ from .gradings import (AbelianGroup, catalog, common_eigenspaces,
                        verify_labeling, _expected_parts)
 from .liealg import special_linear
 from .linalg import Matrix, Subspace, as_cyclo
-from .normalizers import (Permutation, _quotient_and_inner,
-                          catalog_normalizer_generators, induced_permutation,
-                          linearize_on_labels, support_group)
+from .normalizers import (Permutation, catalog_normalizer_generators,
+                          induced_permutation, inner_subquotient,
+                          linearize_on_labels, quotient_group, support_group)
 
 SEED = 0x6C3A
 
@@ -49,28 +49,25 @@ class CheckResult:
 
 
 class _Workbench:
-    """Lazily computed shared state for the checks."""
+    """Lazily computed shared state for the checks.
+
+    Quotients and inner subquotients come from the public calls, which
+    share one memoized closure per catalog grading.
+    """
 
     def __init__(self):
-        self._quotients = {}
-        self._inner = {}
         self._systems = {}
         self._solutions = {}
 
-    def _close(self, name):
-        entry = catalog(name)
-        self._quotients[name], self._inner[name] = _quotient_and_inner(
-            entry.spec, entry.grading, catalog_normalizer_generators(name))
-
     def quotient(self, name):
-        if name not in self._quotients:
-            self._close(name)
-        return self._quotients[name]
+        entry = catalog(name)
+        return quotient_group(entry.spec, entry.grading,
+                              catalog_normalizer_generators(name))
 
     def inner(self, name):
-        if name not in self._inner:
-            self._close(name)
-        return self._inner[name]
+        entry = catalog(name)
+        return inner_subquotient(entry.spec, entry.grading,
+                                 catalog_normalizer_generators(name))
 
     def system(self, name):
         if name not in self._systems:

@@ -27,7 +27,6 @@ rng = random.Random(61909)
 
 _systems: dict = {}
 _solutions: dict = {}
-_quotients: dict = {}
 
 
 def system(name):
@@ -43,11 +42,9 @@ def solutions(name):
 
 
 def quotient(name):
-    if name not in _quotients:
-        entry = catalog(name)
-        _quotients[name] = quotient_group(
-            entry.spec, entry.grading, catalog_normalizer_generators(name))
-    return _quotients[name]
+    entry = catalog(name)
+    return quotient_group(entry.spec, entry.grading,
+                          catalog_normalizer_generators(name))
 
 
 def test_pair_key_is_order_free():
@@ -484,11 +481,11 @@ def test_full_orbit_count_for_the_orthogonal_grading():
 
 
 def test_full_orbit_count_for_the_cartan_grading():
-    orbits = symmetry_orbits(solutions("g1"), quotient("g1"),
-                             include_free=True)
+    q = quotient("g1")
+    orbits = symmetry_orbits(solutions("g1"), q, include_free=True)
     assert len(orbits) == 179_664
     assert sum(o.size for o in orbits) == len(solutions("g1"))
-    assert all(quotient("g1").order % o.size == 0 for o in orbits)
+    assert all(q.order % o.size == 0 for o in orbits)
 
 
 def test_orbits_match_the_least_pushes_of_the_materialized_set():

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from gradelab import autgrp, selfcheck
-from gradelab.autgrp import (automorphism_closure, make_ad,
-                            named_automorphism)
+from gradelab import autgrp, normalizers, selfcheck
+from gradelab.autgrp import (automorphism_closure, identity_automorphism,
+                            make_ad, make_out, named_automorphism)
 from gradelab.gradings import catalog, coarsen, mad_group_spec, verify_grading
 from gradelab.linalg import Matrix
 from gradelab.normalizers import (CATALOG_NORMALIZER_GENERATORS,
@@ -157,9 +157,10 @@ def test_support_group_is_every_permutation_keeping_the_support(name):
 def test_criterion_4_fails_on_a_wrong_quotient():
     entry = catalog("g2")
     bench = selfcheck._Workbench()
-    bench._quotients["g2"] = quotient_group(
-        entry.spec, entry.grading,
-        [named_automorphism(n) for n in ("AdB1", "AdB2")])
+    wrong = quotient_group(entry.spec, entry.grading,
+                           [named_automorphism(n) for n in ("AdB1", "AdB2")])
+    real = bench.quotient
+    bench.quotient = lambda name: wrong if name == "g2" else real(name)
     assert bench.quotient("g2").order == 6
     result = selfcheck.run_check(4, bench)
     assert result.passed is False
@@ -278,6 +279,7 @@ def test_linearize_requires_z3_square_labels():
 def test_closure_builds_actions_for_the_generators_only(monkeypatch):
     # compose, inverse and the membership audits are 3x3 work; only the
     # induced permutations of the generators read an 8x8 action
+    normalizers._quotient_and_inner.cache_clear()  # a cold closure, not a memo hit
     entry = catalog("g4")  # the spec's elements are built here, before counting
     gens = catalog_normalizer_generators("g4")
     built, large = [], []
@@ -335,6 +337,7 @@ def test_g4_closure_inverts_each_representative_once():
 def test_closure_cap_is_enforced(monkeypatch):
     # the quotient closure, the automorphism closure and check 5's
     # permutation closure share one capped BFS and one cap exception
+    normalizers._quotient_and_inner.cache_clear()  # a cold closure, not a memo hit
     entry = catalog("g2")
     bench = selfcheck._Workbench()
     bench.inner("g1")  # closed under the real cap, so check 5 reaches its own BFS
@@ -349,6 +352,61 @@ def test_closure_cap_is_enforced(monkeypatch):
     with pytest.raises(ClosureCapExceeded) as info:
         selfcheck.check_5(bench)
     assert info.value.cap == 3
+
+
+def test_quotient_and_inner_subquotient_share_one_closure(monkeypatch):
+    normalizers._quotient_and_inner.cache_clear()
+    entry = catalog("g4")
+    closures, closure = [], normalizers._closure
+
+    def counting_closure(*args):
+        closures.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(normalizers, "_closure", counting_closure)
+    # fresh but equal generator lists: the memo keys on actions and kinds
+    q = quotient_group(entry.spec, entry.grading, catalog_normalizer_generators("g4"))
+    i = inner_subquotient(entry.spec, entry.grading, catalog_normalizer_generators("g4"))
+    assert (q.order, i.order, len(closures)) == (48, 24, 1)
+    inner_gens = [h for h in catalog_normalizer_generators("g4") if h.kind == "inner"]
+    assert inner_subquotient(entry.spec, entry.grading, inner_gens).order == 24
+    assert len(closures) == 2
+
+
+def test_memo_key_keeps_kinds_of_equal_actions_apart():
+    # on sl(2) the outer map Out_J acts as the identity
+    j = Matrix.from_rows([[0, 1], [-1, 0]])
+    outer, ident = make_out(j), identity_automorphism(2)
+    assert outer == ident
+    assert normalizers._generator_key([outer]) != normalizers._generator_key([ident])
+    assert normalizers._generator_key([ident]) == \
+        normalizers._generator_key([identity_automorphism(2)])
+
+
+def test_failed_closures_are_not_memoized():
+    normalizers._quotient_and_inner.cache_clear()
+    entry = catalog("g1")
+    gens = [named_automorphism("AdS")]  # the Fourier matrix moves the torus
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not normalize"):
+            quotient_group(entry.spec, entry.grading, gens)
+    assert normalizers._quotient_and_inner.cache_info().currsize == 0
+
+
+def test_memo_key_builds_no_action_of_the_spec_elements(monkeypatch):
+    spec = mad_group_spec.__wrapped__("g4")  # fresh elements, no action built
+    grading = catalog("g4").grading
+    gens = catalog_normalizer_generators("g4")
+    built, action_matrix = [], autgrp._action_matrix
+    monkeypatch.setattr(autgrp, "_action_matrix",
+                        lambda f: built.append(f) or action_matrix(f))
+    hash((spec, grading, normalizers._generator_key(gens)))
+    assert len(built) == len(gens)
+    assert all(any(f is h for h in gens) for f in built)
+
+
+def test_memo_bound_is_fixed():
+    assert normalizers._quotient_and_inner.cache_info().maxsize == 8
 
 
 def test_generator_table_is_complete():
