@@ -3,12 +3,20 @@
 An automorphism stores its kind and a projective representative matrix A
 (no determinant normalization, so everything stays inside small cyclotomic
 fields).  Its induced (n^2-1) x (n^2-1) action matrix on the fixed basis is
-built from A the first time it is read, and kept.  Two automorphisms are
-equal iff their action matrices are equal; the scalar ambiguity of A cancels
-in the action.  (Representatives alone would not do: on sl(2) the outer map
-Out_J is the identity.)
+built from A the first time it is read, and kept; only the code that moves
+vectors reads it (`apply_coords`, `eigenspaces`).
 
 Inner:  Ad_A X = A^-1 X A.      Outer:  Out_A X = -(A^-1 X A)^T.
+
+An automorphism's identity is its key: (kind, A scaled so that its first
+nonzero entry is 1), built on first use and kept.  Equality, hashing,
+`is_identity` and `order` read the key alone.  For n >= 3 no inner map is
+outer and Ad_A = Ad_B iff A is a multiple of B (likewise Out), so equal keys
+are exactly equal actions.  On sl(2) every automorphism is inner:
+-X^T = J^-1 X J for traceless X, with J = [[0, 1], [-1, 0]], so
+Out_A X = J^-1 (A^-1 X A) J = (AJ)^-1 X (AJ) and Out_A is keyed as Ad_(AJ).
+`kind` and `rep` stay as built (a key never replaces them), so JSON output
+keeps the representative it was given.
 
 Composition and inversion work on representatives alone, never on actions:
   compose(f, g) applies g first; its representative is
@@ -40,7 +48,7 @@ CLOSURE_CAP = 10000  # most elements that a closure (`_bfs`) may hold
 
 
 class Automorphism:
-    __slots__ = ("algebra", "kind", "rep", "_action", "_inv_t")
+    __slots__ = ("algebra", "kind", "rep", "_action", "_inv_t", "_key")
 
     def __init__(self, algebra: LieAlgebra, kind: str, rep: Matrix):
         if kind not in (INNER, OUTER):
@@ -52,6 +60,7 @@ class Automorphism:
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "_action", None)
         object.__setattr__(self, "_inv_t", None)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -69,19 +78,33 @@ class Automorphism:
             object.__setattr__(self, "_inv_t", self.rep.transpose().inverse())
         return self._inv_t
 
+    @property
+    def key(self) -> tuple:
+        """(kind, rep scaled so that its first nonzero entry is 1), on sl(2)
+        with an outer map keyed as Ad_(AJ); built on first use and kept."""
+        if self._key is None:
+            kind, rep = self.kind, self.rep
+            if kind == OUTER and rep.rows == 2:
+                kind, rep = INNER, rep * _SL2_J
+            lead = next(e for e in rep.entries if not e.is_zero())
+            if lead != 1:
+                rep = rep.scale(lead.inverse())
+            object.__setattr__(self, "_key", (kind, rep))
+        return self._key
+
     def apply_coords(self, coords) -> tuple:
         return self.action.apply(coords)
 
     def is_identity(self) -> bool:
-        return self.action == Matrix.identity(self.algebra.dim)
+        return self.key == (INNER, Matrix.identity(self.algebra.n))
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
             return NotImplemented
-        return self.algebra.n == other.algebra.n and self.action == other.action
+        return self.key == other.key
 
     def __hash__(self):
-        return hash((self.algebra.n, self.action))
+        return hash(self.key)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "rep": self.rep.to_json()}
@@ -99,6 +122,10 @@ class Automorphism:
     def __repr__(self):
         tag = "Ad" if self.kind == INNER else "Out"
         return f"{tag}({self.rep!r})"
+
+
+# -X^T = J^-1 X J on sl(2), so Out_A = Ad_(AJ) there
+_SL2_J = Matrix.from_rows([[0, 1], [-1, 0]])
 
 
 def _action_matrix(f: Automorphism) -> Matrix:
@@ -159,12 +186,11 @@ def conjugate(h: Automorphism, g: Automorphism) -> Automorphism:
 
 def order(f: Automorphism) -> int | None:
     """Multiplicative order of f, or None if it exceeds DEFAULT_ORDER_CAP."""
-    ident = Matrix.identity(f.algebra.dim)
-    power = f.action
+    power = f
     for k in range(1, DEFAULT_ORDER_CAP + 1):
-        if power == ident:
+        if power.is_identity():
             return k
-        power = power * f.action
+        power = compose(f, power)
     return None
 
 

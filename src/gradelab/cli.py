@@ -14,7 +14,7 @@ import sys
 
 from . import contractions as con
 from . import selfcheck
-from .autgrp import NAMED_AUTOMORPHISMS, Automorphism, named_automorphism
+from .autgrp import INNER, NAMED_AUTOMORPHISMS, Automorphism, named_automorphism
 from .gradings import (AbelianGroup, Grading, catalog, coarsen, format_label,
                        search_labeling, verify_grading, verify_labeling,
                        CATALOG_NAMES)
@@ -296,7 +296,7 @@ def cmd_normalizer_group(args) -> int:
     names = CATALOG_NORMALIZER_GENERATORS[args.catalog]
     if args.subcommand == "inner":
         title, build = "inner subquotient", inner_subquotient
-        names = [n for n, a in zip(names, gens) if a.kind == "inner"]
+        names = [n for n, a in zip(names, gens) if a.key[0] == INNER]
     else:
         title, build = "normalizer quotient", quotient_group
     q = build(entry.spec, entry.grading, gens)

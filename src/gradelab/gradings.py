@@ -20,8 +20,10 @@ from .cyclo import CycloNumber, zeta
 from .linalg import Matrix, Subspace
 from .liealg import LieAlgebra, parse_element, special_linear
 from .autgrp import (
+    INNER,
     Automorphism,
     clock_matrix,
+    compose,
     shift_matrix,
     eigenspaces,
     make_ad,
@@ -194,7 +196,7 @@ def common_eigenspaces(gens) -> Grading:
         raise ValueError("need at least one automorphism")
     algebra = gens[0].algebra
     for f, g in itertools.combinations(gens, 2):
-        if f.action * g.action != g.action * f.action:
+        if compose(f, g) != compose(g, f):
             raise ValueError("automorphisms do not commute")
     parts = [(Subspace.full(algebra.dim), ())]
     for g in gens:
@@ -364,12 +366,13 @@ class MadGroupSpec:
     """A maximal Abelian diagonalizable group, given by generators and shape.
 
     For infinite families the `membership` predicate encodes the defining
-    matrix shape (up to projective scale) and `probes` carries generic
+    matrix shape of the key's representative and `probes` carries generic
     family elements whose conjugates detect normalizer violations; finite
-    families list their elements outright.
+    families list their elements outright, and membership is lookup among
+    them by key.
 
     A spec compares and hashes by identity: `mad_group_spec` builds each
-    once, and hashing by value would build the action of every element.
+    once, and its membership predicate has no value to compare.
     """
 
     name: str
@@ -388,32 +391,16 @@ def _diagonal_entries(m: Matrix):
     return [m[i, i] for i in range(m.rows)]
 
 
-def _is_sign_diagonal(m: Matrix) -> bool:
-    """True iff m is diagonal with entry ratios in {1, -1} (projective signs)."""
-    diag = _diagonal_entries(m)
-    if diag is None or diag[0].is_zero():
-        return False
-    one = CycloNumber.one()
-    for d in diag[1:]:
-        ratio = d / diag[0]
-        if ratio != one and ratio != -one:
-            return False
-    return True
-
-
 def _g1_member(h: Automorphism) -> bool:
-    return h.kind == "inner" and _diagonal_entries(h.rep) is not None
-
-
-def _g2_member(h: Automorphism) -> bool:
-    return _is_sign_diagonal(h.rep)
+    kind, rep = h.key
+    return kind == INNER and _diagonal_entries(rep) is not None
 
 
 def _g3_member(h: Automorphism) -> bool:
-    if h.kind == "inner":
-        diag = _diagonal_entries(h.rep)
+    kind, m = h.key
+    if kind == INNER:
+        diag = _diagonal_entries(m)
         return diag is not None and diag[0] * diag[0] == diag[1] * diag[2]
-    m = h.rep
     zero_pattern = all(m[i, j].is_zero()
                        for i in range(3) for j in range(3)
                        if (i, j) not in ((0, 0), (1, 2), (2, 1)))
@@ -423,7 +410,6 @@ def _g3_member(h: Automorphism) -> bool:
     return not p.is_zero() and p * p == q * r
 
 
-@lru_cache(maxsize=1)
 def _pauli_matrices() -> tuple:
     p, q = clock_matrix(), shift_matrix()
     out = []
@@ -436,12 +422,6 @@ def _pauli_matrices() -> tuple:
                 pk = pk * q
             out.append(pk)
     return tuple(out)
-
-
-def _g4_member(h: Automorphism) -> bool:
-    if h.kind != "inner":
-        return False
-    return any(h.rep.scalar_multiple_of(m) is not None for m in _pauli_matrices())
 
 
 @lru_cache(maxsize=None)
@@ -464,7 +444,7 @@ def mad_group_spec(name: str) -> MadGroupSpec:
         return MadGroupSpec(
             name="g2",
             separating_generators=tuple(inner) + (make_out(Matrix.identity(3)),),
-            membership=_g2_member,
+            membership=frozenset(elements).__contains__,
             elements=elements,
         )
     if name == "g3":
@@ -478,11 +458,12 @@ def mad_group_spec(name: str) -> MadGroupSpec:
             probes=(make_ad(Matrix.diagonal([1, 2, half])), make_out(outer_probe)),
         )
     if name == "g4":
+        elements = tuple(make_ad(m) for m in _pauli_matrices())
         return MadGroupSpec(
             name="g4",
             separating_generators=(make_ad(clock_matrix()), make_ad(shift_matrix())),
-            membership=_g4_member,
-            elements=tuple(make_ad(m) for m in _pauli_matrices()),
+            membership=frozenset(elements).__contains__,
+            elements=elements,
         )
     raise ValueError(f"unknown MAD-group {name!r}; known: g1, g2, g3, g4")
 

@@ -237,24 +237,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
-    def scalar_multiple_of(self, other: "Matrix"):
-        """The scalar c with self == c*other, or None (projective comparison)."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return None
-        ratio = None
-        for a, b in zip(self.entries, other.entries):
-            if b.is_zero():
-                if not a.is_zero():
-                    return None
-            elif ratio is None:
-                ratio = a / b
-        if ratio is None:
-            return None if not self.is_zero() else CycloNumber.one()
-        for a, b in zip(self.entries, other.entries):
-            if not b.is_zero() and a != ratio * b:
-                return None
-        return ratio
-
     # --- comparisons / io ---------------------------------------------------
 
     def __eq__(self, other):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 # ClosureCapExceeded is raised by _closure and stays importable from here
-from .autgrp import (Automorphism, ClosureCapExceeded, _bfs, compose,
+from .autgrp import (INNER, Automorphism, ClosureCapExceeded, _bfs, compose,
                      conjugate, identity_automorphism, inverse,
                      named_automorphism)
 from .gradings import Grading, MadGroupSpec, _part_maps, verify_grading
@@ -194,7 +194,7 @@ def _closure(spec: MadGroupSpec, g: Grading, normalizer_gens):
     for h in gens:
         if not normalizes(h, spec):
             raise ValueError(f"generator {h!r} does not normalize {spec.name}")
-    gen_data = [(h, induced_permutation(h, g), 0 if h.kind == "inner" else 1)
+    gen_data = [(h, induced_permutation(h, g), 0 if h.key[0] == INNER else 1)
                 for h in gens]
     ident = identity_automorphism(g.algebra.n)
     start = (Permutation.identity(g.num_parts), 0, ident)
@@ -227,28 +227,18 @@ def _closure(spec: MadGroupSpec, g: Grading, normalizer_gens):
     return states, gen_data
 
 
-def _generator_key(normalizer_gens) -> tuple:
-    """The generators as a memo key: one (kind, automorphism) pair each.
-
-    Automorphisms compare by action alone, and an outer one may act as an
-    inner one does (on sl(2), Out_J is the identity); the kinds keep their
-    parities, and so their inner subquotients, apart.
-    """
-    return tuple((h.kind, h) for h in normalizer_gens)
-
-
 # Each catalog grading with its full and its inner generator list fits.
 @lru_cache(maxsize=8)
-def _quotient_and_inner(spec: MadGroupSpec, g: Grading, gen_key: tuple) -> tuple:
+def _quotient_and_inner(spec: MadGroupSpec, g: Grading, gens: tuple) -> tuple:
     """The quotient and its inner subquotient, both from one closure.
 
     The inner subquotient is the parity-0 slice of the closure's states,
     generated by the parity-0 generators.  Memoized, with a bound, per spec,
-    grading and `_generator_key`, so one process closes each once; the
+    grading and generator tuple, so one process closes each once; the
     results are immutable and shared.  A closure that raises is not kept,
     so it raises again on the next call.
     """
-    states, gen_data = _closure(spec, g, [h for _, h in gen_key])
+    states, gen_data = _closure(spec, g, gens)
 
     def group(parities):
         records = [QuotientElement(perm, parity, witness)
@@ -266,7 +256,7 @@ def quotient_group(spec: MadGroupSpec, g: Grading, normalizer_gens) -> Permutati
     It shares one memoized, bounded closure per spec, grading and
     generators with `inner_subquotient`.
     """
-    return _quotient_and_inner(spec, g, _generator_key(normalizer_gens))[0]
+    return _quotient_and_inner(spec, g, tuple(normalizer_gens))[0]
 
 
 def inner_subquotient(spec: MadGroupSpec, g: Grading, normalizer_gens) -> PermutationGroup:
@@ -275,7 +265,7 @@ def inner_subquotient(spec: MadGroupSpec, g: Grading, normalizer_gens) -> Permut
     It shares one memoized, bounded closure per spec, grading and
     generators with `quotient_group`.
     """
-    return _quotient_and_inner(spec, g, _generator_key(normalizer_gens))[1]
+    return _quotient_and_inner(spec, g, tuple(normalizer_gens))[1]
 
 
 def support_group(g: Grading) -> PermutationGroup:

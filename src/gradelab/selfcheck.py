@@ -153,11 +153,14 @@ def check_2(bench: _Workbench) -> str:
 
 @_criterion(3, "MAD-group cardinalities")
 def check_3(bench: _Workbench) -> str:
-    """MAD-group cardinalities for the two finite groups."""
+    """MAD-group cardinalities for the two finite groups, and their stored
+    element lists, which are their membership tests."""
     pauli = automorphism_closure([named_automorphism("AdP"),
                                   named_automorphism("AdQ")])
     if len(pauli) != 9:
         raise _Fail(f"closure of {{AdP, AdQ}} has {len(pauli)} elements, expected 9")
+    if set(pauli) != set(mad_group_spec("g4").elements):
+        raise _Fail("closure of {AdP, AdQ} disagrees with the stored g4 element list")
     g2 = mad_group_spec("g2")
     close = automorphism_closure(g2.separating_generators)
     if len(close) != 8:

@@ -1,4 +1,5 @@
 """Automorphisms of sl(3): composition algebra, eigenspaces, closures."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from gradelab.autgrp import (NAMED_AUTOMORPHISMS, Automorphism,
                              automorphism_closure, compose, conjugate,
                              eigenspaces, identity_automorphism, inverse,
                              make_ad, make_out, named_automorphism, order)
+from gradelab.cyclo import zeta
 from gradelab.gradings import mad_group_spec
 from gradelab.liealg import special_linear
 from gradelab.linalg import Matrix, as_cyclo
@@ -21,15 +23,15 @@ def rand_vec():
     return tuple(as_cyclo(Fraction(rng.randint(-3, 3))) for _ in range(8))
 
 
-def rand_invertible():
+def rand_invertible(n=3):
     while True:
-        m = Matrix(3, 3, [as_cyclo(rng.randint(-2, 2)) for _ in range(9)])
+        m = Matrix(n, n, [as_cyclo(rng.randint(-2, 2)) for _ in range(n * n)])
         if not m.det().is_zero():
             return m
 
 
-def rand_automorphism():
-    m = rand_invertible()
+def rand_automorphism(n=3):
+    m = rand_invertible(n)
     return make_ad(m) if rng.random() < 0.5 else make_out(m)
 
 
@@ -77,11 +79,11 @@ def test_inverse_round_trip():
         assert compose(inverse(f), f).is_identity()
 
 
-def rand_word():
-    """A product of 1-4 random inner and outer automorphisms."""
-    word = rand_automorphism()
+def rand_word(n=3):
+    """A product of 1-4 random inner and outer automorphisms of sl(n)."""
+    word = rand_automorphism(n)
     for _ in range(rng.randint(0, 3)):
-        word = compose(word, rand_automorphism())
+        word = compose(word, rand_automorphism(n))
     return word
 
 
@@ -138,11 +140,36 @@ def test_projective_equality():
     scaled = m.scale(Fraction(7, 2))
     assert make_ad(m) == make_ad(scaled)
     assert hash(make_ad(m)) == hash(make_ad(scaled))
-    # equality is by action, not by representative and kind: on sl(2) the
-    # outer Out_J is the identity map
+    # on sl(2) Out_A is keyed as Ad_(AJ): Out_J is Ad_(-I), the identity
     out_j = make_out(Matrix.from_rows([[0, 1], [-1, 0]]))
-    assert out_j == identity_automorphism(2)
+    assert out_j == identity_automorphism(2) and out_j.is_identity()
     assert hash(out_j) == hash(identity_automorphism(2))
+    assert order(out_j) == 1
+
+
+def test_key_equality_is_action_equality():
+    # the key decides equality; the actions are the oracle.  The words hold
+    # scaled representatives, compose(f, inverse(f)), and on sl(2) each
+    # Out_A beside Ad_(AJ)
+    j = Matrix.from_rows([[0, 1], [-1, 0]])
+    equal_pairs = 0
+    for n in (2, 3):
+        words = []
+        for _ in range(8):
+            f = rand_word(n)
+            scaled = Automorphism(f.algebra, f.kind, f.rep.scale(zeta(8) * Fraction(-5, 3)))
+            words += [f, scaled, compose(f, inverse(f))]
+            if n == 2:
+                a = rand_invertible(2)
+                words += [make_out(a), make_ad(a * j)]
+        for f, g in itertools.combinations(words, 2):
+            assert (f == g) == (f.action == g.action), (f, g)
+            if f == g:
+                equal_pairs += 1
+                assert hash(f) == hash(g)
+    # at least the pairs built equal: 8 scalings and 28 pairs of identities
+    # on each algebra, and 8 Out_A, Ad_(AJ) pairs on sl(2)
+    assert equal_pairs >= 2 * (8 + 28) + 8
 
 
 def test_eigenspace_dimensions_sum():

@@ -7,10 +7,12 @@ import sys
 
 import pytest
 
-from gradelab import autgrp, normalizers, selfcheck
-from gradelab.autgrp import (automorphism_closure, identity_automorphism,
-                            make_ad, make_out, named_automorphism)
-from gradelab.gradings import catalog, coarsen, mad_group_spec, verify_grading
+from gradelab import autgrp, gradings, normalizers, selfcheck
+from gradelab.autgrp import (automorphism_closure, make_ad, make_out,
+                            named_automorphism)
+from gradelab.cyclo import zeta
+from gradelab.gradings import (MadGroupSpec, catalog, coarsen, common_eigenspaces,
+                               mad_group_spec, verify_grading)
 from gradelab.linalg import Matrix
 from gradelab.normalizers import (CATALOG_NORMALIZER_GENERATORS,
                                   ClosureCapExceeded, Permutation,
@@ -364,7 +366,7 @@ def test_quotient_and_inner_subquotient_share_one_closure(monkeypatch):
         return closure(*args)
 
     monkeypatch.setattr(normalizers, "_closure", counting_closure)
-    # fresh but equal generator lists: the memo keys on actions and kinds
+    # fresh but equal generator lists: the memo keys on the automorphisms
     q = quotient_group(entry.spec, entry.grading, catalog_normalizer_generators("g4"))
     i = inner_subquotient(entry.spec, entry.grading, catalog_normalizer_generators("g4"))
     assert (q.order, i.order, len(closures)) == (48, 24, 1)
@@ -373,14 +375,18 @@ def test_quotient_and_inner_subquotient_share_one_closure(monkeypatch):
     assert len(closures) == 2
 
 
-def test_memo_key_keeps_kinds_of_equal_actions_apart():
-    # on sl(2) the outer map Out_J acts as the identity
-    j = Matrix.from_rows([[0, 1], [-1, 0]])
-    outer, ident = make_out(j), identity_automorphism(2)
-    assert outer == ident
-    assert normalizers._generator_key([outer]) != normalizers._generator_key([ident])
-    assert normalizers._generator_key([ident]) == \
-        normalizers._generator_key([identity_automorphism(2)])
+def test_sl2_cartan_quotient_reads_outer_maps_as_inner():
+    # on sl(2) Out_I = Ad_J with J = [[0, 1], [-1, 0]], so both generators
+    # are inner and swap e and f; their quotient is Z2, all of it inner
+    sl2_torus = MadGroupSpec(name="sl2 torus",
+                             separating_generators=(make_ad(Matrix.diagonal([1, zeta(4)])),),
+                             membership=gradings._g1_member,
+                             probes=(make_ad(Matrix.diagonal([1, 2])),))
+    cartan = common_eigenspaces(sl2_torus.separating_generators)
+    assert cartan.part_dims == (1, 1, 1)
+    gens = [make_ad(Matrix.from_rows([[0, 1], [1, 0]])), make_out(Matrix.identity(2))]
+    assert quotient_group(sl2_torus, cartan, gens).order == 2
+    assert inner_subquotient(sl2_torus, cartan, gens).order == 2
 
 
 def test_failed_closures_are_not_memoized():
@@ -394,15 +400,18 @@ def test_failed_closures_are_not_memoized():
 
 
 def test_memo_key_builds_no_action_of_the_spec_elements(monkeypatch):
-    spec = mad_group_spec.__wrapped__("g4")  # fresh elements, no action built
-    grading = catalog("g4").grading
+    # the memo keys on the generators' keys, which are 3x3 work: a hit with
+    # fresh generators builds no action, of them or of the spec's elements
+    entry = catalog("g4")
+    quotient_group(entry.spec, entry.grading, catalog_normalizer_generators("g4"))
     gens = catalog_normalizer_generators("g4")
+    hits = normalizers._quotient_and_inner.cache_info().hits
     built, action_matrix = [], autgrp._action_matrix
     monkeypatch.setattr(autgrp, "_action_matrix",
                         lambda f: built.append(f) or action_matrix(f))
-    hash((spec, grading, normalizers._generator_key(gens)))
-    assert len(built) == len(gens)
-    assert all(any(f is h for h in gens) for f in built)
+    assert quotient_group(entry.spec, entry.grading, gens).order == 48
+    assert normalizers._quotient_and_inner.cache_info().hits == hits + 1
+    assert built == []
 
 
 def test_memo_bound_is_fixed():
