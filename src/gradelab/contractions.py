@@ -177,7 +177,7 @@ def generate_equations(g: Grading) -> ContractionSystem:
         v = var_index[pair_key(total, lk)]
         return (u, v) if u <= v else (v, u)
 
-    seen = {}
+    seen = set()
     equations = []
     combo_tables = []
     for a, b, c in itertools.combinations(range(len(vectors)), 3):
@@ -209,14 +209,12 @@ def generate_equations(g: Grading) -> ContractionSystem:
                 raise ArithmeticError("Jacobi residual with a single surviving term")
             continue
         monomials = tuple(sorted(coeffs))
-        _, pivots = Matrix.from_rows(coeffs.values()).rref()
-        key = monomials
-        if key not in seen:
-            eq = Equation(monomials=monomials,
-                          triple=(names[a], names[b], names[c]),
-                          pivot_coords=pivots, rank=len(pivots))
-            seen[key] = eq
-            equations.append(eq)
+        if monomials not in seen:
+            seen.add(monomials)
+            _, pivots = Matrix.from_rows(coeffs.values()).rref()
+            equations.append(Equation(monomials=monomials,
+                                      triple=(names[a], names[b], names[c]),
+                                      pivot_coords=pivots, rank=len(pivots)))
     return ContractionSystem(g, variables, equations, tuple(combo_tables))
 
 
@@ -418,6 +416,8 @@ class SolutionSet:
     __slots__ = ("system", "active_masks")
 
     def __init__(self, system: ContractionSystem, active_masks: np.ndarray):
+        # read-only, as the symmetry pass kept for this set (`_symmetries`) reads it
+        active_masks.setflags(write=False)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "active_masks", active_masks)
 
@@ -587,7 +587,9 @@ class _NotInvariant(ValueError):
     only this, so a group of the wrong degree still raises."""
 
 
-def _symmetries(solutions: SolutionSet, quotient: PermutationGroup) -> list:
+# Each catalog grading's solution set with its quotient, twice over, fits.
+@lru_cache(maxsize=8)
+def _symmetries(solutions: SolutionSet, quotient: PermutationGroup) -> tuple:
     """(variable permutation, push of the constrained patterns) of each
     quotient element, once the solution set is known to be invariant.
 
@@ -596,26 +598,33 @@ def _symmetries(solutions: SolutionSet, quotient: PermutationGroup) -> list:
     them.  Otherwise the free bits are permuted among themselves and a bit
     permutation distributes over OR, so the element maps the product set
     onto itself: that is the whole invariance check.
+
+    The pass is kept, with a bound, per solution set and quotient (both
+    hash by identity), so `is_invariant`, `symmetry_orbits` and
+    `burnside_orbit_count` share one; its permutations are tuples and its
+    pushes read-only.  A pass that raises is not kept, so it raises again
+    on the next call.
     """
     system = solutions.system
     free = set(system.free)
     rows = solutions.active_masks
     symmetries = []
     for p in quotient.elements:
-        vp = pair_variable_permutation(p, system)
+        vp = tuple(pair_variable_permutation(p, system))
         if any(vp[f] not in free for f in free):
             raise _NotInvariant("a symmetry moves a free variable to a constrained "
                                 "one; the solution set is not invariant")
         pushed = apply_variable_permutation(rows, vp)
         if not np.array_equal(np.sort(pushed), rows):
             raise _NotInvariant("solution set is not invariant under the quotient")
+        pushed.setflags(write=False)
         symmetries.append((vp, pushed))
-    return symmetries
+    return tuple(symmetries)
 
 
 def is_invariant(solutions: SolutionSet, quotient: PermutationGroup) -> bool:
     """Exact check that every pushforward maps the solution set onto itself
-    (`_symmetries` on every group element)."""
+    (`_symmetries`, a pass over every group element kept per set and quotient)."""
     try:
         _symmetries(solutions, quotient)
     except _NotInvariant:
@@ -655,12 +664,13 @@ def symmetry_orbits(solutions: SolutionSet, quotient: PermutationGroup,
 
     `quotient.elements` must be a whole group (closed under composition):
     each orbit is then labeled by its least mask.  Invariance is decided
-    once per element on the constrained patterns (`_symmetries`; ValueError
-    if it fails).  Each block of masks is compared with its image under
-    every element (`_block_orbits`): a mask no image undercuts is a
-    representative, and the elements that fix it give its orbit size by
-    orbit-stabilizer.  Only the representatives are sorted.  Returns Orbit
-    records sorted by representative mask.
+    once per element on the constrained patterns, in the pass `_symmetries`
+    keeps per set and quotient (ValueError if it fails).  Each block of
+    masks is compared with its image under every element (`_block_orbits`):
+    a mask no image undercuts is a representative, and the elements that
+    fix it give its orbit size by orbit-stabilizer.  Only the
+    representatives are sorted.  Returns Orbit records sorted by
+    representative mask.
 
     Without include_free the orbits are those of the constrained patterns,
     i.e. solutions with every unconstrained pair switched off, a subset
@@ -716,8 +726,8 @@ def burnside_orbit_count(solutions: SolutionSet, quotient: PermutationGroup) -> 
     A second route to `len(symmetry_orbits(..., include_free=False))`: each
     element contributes the constrained patterns its push fixes, and the
     orbit count is the sum over the group divided by the order.  Nothing is
-    listed or sorted.  Raises ValueError if the set is not invariant
-    (`_symmetries`) or the sum is not divisible by the order.
+    listed or sorted.  Raises ValueError if the set is not invariant (the
+    kept `_symmetries` pass) or the sum is not divisible by the order.
     """
     rows = solutions.active_masks
     total = sum(int(np.count_nonzero(pushed == rows))

@@ -21,11 +21,25 @@ from math import gcd, lcm
 # hits, while a long session cannot grow it without limit.
 CANONICAL_CACHE_SIZE = 4096
 
-# largest order a scalar read from JSON may name (the catalog needs 4):
+# largest order a scalar read from JSON may name (the catalog needs 4), alone
+# and in common with the other scalars of its document (`check_common_order`):
 # arithmetic grows with phi(order), and `grading verify` on the g4 grading with
 # one part scaled by a primitive 251st root of unity takes about 1 s of CPU
 # (3 s at 509)
 MAX_JSON_ORDER = 256
+
+
+def check_common_order(orders) -> None:
+    """ValueError if the orders of the scalars of one JSON document have a
+    least common multiple above MAX_JSON_ORDER.  Their arithmetic embeds them
+    all at that order, which the bound on each order alone leaves open:
+    orders 255 and 256 meet at 65280."""
+    common = 1
+    for order in orders:
+        common = lcm(common, order)
+        if common > MAX_JSON_ORDER:
+            raise ValueError(f"scalar order {order} raises the common order of the "
+                             f"document's scalars to {common}, above {MAX_JSON_ORDER}")
 
 
 @lru_cache(maxsize=None)
@@ -349,9 +363,8 @@ class CycloNumber:
     def __hash__(self):
         h = self._hash
         if h is None:
-            # The hash of (conductor, coordinates there as Fractions).
-            order, nums, den = _canonical_form(self.order, self.nums, self.den)
-            h = hash((order, tuple([Fraction(a, den) for a in nums])))
+            # equal values share one canonical (conductor, numerators, denominator)
+            h = hash(_canonical_form(self.order, self.nums, self.den))
             _set_hash(self, h)
         return h
 

@@ -160,9 +160,12 @@ class Grading:
         if "grading" in data and "parts" not in data:
             data = data["grading"]
         algebra = special_linear(int(data["n"]))
-        parts = [Subspace.from_vectors(int(p.get("ambient_dim", algebra.dim)),
-                                       [_vector(row, algebra) for row in p["basis"]])
-                 for p in data["parts"]]
+        bases = [(int(p.get("ambient_dim", algebra.dim)),
+                  [_vector(row, algebra) for row in p["basis"]]) for p in data["parts"]]
+        # before `Subspace.from_vectors` embeds any scalar
+        cyclo.check_common_order(c.order for _, basis in bases for row in basis
+                                 for c in row if isinstance(c, CycloNumber))
+        parts = [Subspace.from_vectors(dim, basis) for dim, basis in bases]
         group = labels = None
         if data.get("group") is not None:
             group = AbelianGroup(data["group"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, check_common_order
 
 
 def as_cyclo(value) -> CycloNumber:
@@ -254,8 +254,11 @@ class Matrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "Matrix":
-        return cls(int(data["rows"]), int(data["cols"]),
-                   [CycloNumber.from_json(e) for e in data["entries"]])
+        """The matrix of a `to_json` document; its scalars' common order is
+        checked (`check_common_order`) before `__init__` embeds them."""
+        entries = [CycloNumber.from_json(e) for e in data["entries"]]
+        check_common_order(e.order for e in entries)
+        return cls(int(data["rows"]), int(data["cols"]), entries)
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(e) for e in self.row(i)) for i in range(self.rows))

@@ -242,15 +242,25 @@ SCALAR_REFUSALS = {
     "scalar-automorphism": ({"order": 3, "terms": [[1, 1, 2]]},
                             "exponent 2 of a scalar of order 3 is outside 0..1"),
 }
+# orders 255 and 256 each pass, but their arithmetic embeds both at order
+# 65280: a file holding the two ran past an 8 s timeout before the common-order bound
+MIXED_ORDERS = "scalar order 256 raises the common order of the document's scalars to 65280"
 
 
 @pytest.mark.parametrize("case", ["unknown-automorphism", "missing-file",
                                   "no-parts", "zero-denominator", "bad-json",
                                   "bad-json-automorphism", "not-utf8",
-                                  *SCALAR_REFUSALS])
+                                  *SCALAR_REFUSALS, "mixed-orders",
+                                  "mixed-orders-automorphism"])
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
-    scalar, refusal = SCALAR_REFUSALS.get(case, (None, ""))
+    scalar, refusal = SCALAR_REFUSALS.get(case, (None, MIXED_ORDERS if "mixed" in case else ""))
     one, zero = {"order": 1, "terms": [[1, 1, 0]]}, {"order": 1, "terms": []}
+    z255, z256 = ({"order": k, "terms": [[1, 1, 1]]} for k in (255, 256))
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"n": 3, "parts": [{"basis": [[z255, z256] + [zero] * 6]}]}))
+    mixed_rep = tmp_path / "mixed_rep.json"
+    mixed_rep.write_text(json.dumps({"kind": "inner", "rep": {"rows": 3, "cols": 3, "entries": [
+        z255, zero, zero, zero, z256, zero, zero, zero, one]}}))
     bad_scalar = tmp_path / "bad_scalar.json"
     bad_scalar.write_text(json.dumps(
         {"n": 3, "parts": [{"basis": [[scalar] + [zero] * 7]}]}))
@@ -284,6 +294,9 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
                                      "--input", str(bad_scalar)],
         "scalar-automorphism": ["normalizer", "check", "--catalog", "g4",
                                 "--auto", str(bad_scalar_rep)],
+        "mixed-orders": ["grading", "verify", "--input", str(mixed)],
+        "mixed-orders-automorphism": ["normalizer", "check", "--catalog", "g4",
+                                      "--auto", str(mixed_rep)],
     }[case]
     err = assert_one_line_usage_error(capsys, argv)
     assert repr(argv[-1]) in err and refusal in err

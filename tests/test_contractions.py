@@ -518,10 +518,32 @@ def test_orbits_do_not_depend_on_the_block_size(monkeypatch):
                for name in ("g1", "g2") for include_free in (True, False)}
     for block in (1, 2 * 8192):
         monkeypatch.setattr(contractions, "_PUSH_BLOCK", block)
+        contractions._symmetries.cache_clear()  # push the patterns in these blocks too
         for (name, include_free), orbits in default.items():
             assert symmetry_orbits(solutions(name), quotient(name),
                                    include_free=include_free) == orbits, \
                 (block, name, include_free)
+
+
+def test_one_symmetry_pass_serves_every_orbit_routine(monkeypatch):
+    # a fresh g2 set: is_invariant, both orbit listings and Burnside read one
+    # kept pass of 24 pattern pushes; the full-set listing adds 24 cube pushes
+    solved, q = solve_binary(system("g2")), quotient("g2")
+    pushed_sizes, push = [], contractions.apply_variable_permutation
+    monkeypatch.setattr(contractions, "apply_variable_permutation",
+                        lambda masks, vp: pushed_sizes.append(masks.size) or push(masks, vp))
+    assert is_invariant(solved, q)
+    assert len(symmetry_orbits(solved, q, include_free=False)) == 75
+    assert burnside_orbit_count(solved, q) == 75
+    assert len(symmetry_orbits(solved, q, include_free=True)) == 5350
+    assert q.order == 24 and len(pushed_sizes) == 48
+    assert pushed_sizes.count(solved.active_count) == 24
+    assert pushed_sizes.count(solved.free_cube().size) == 24
+    # the kept pass cannot go stale: the patterns and their pushes are read-only
+    assert not solved.active_masks.flags.writeable
+    assert all(type(vp) is tuple and not pushed.flags.writeable
+               for vp, pushed in _symmetries(solved, q))
+    assert contractions._symmetries.cache_info().maxsize == 8
 
 
 def test_orbits_refuse_an_element_list_that_is_not_a_group():
@@ -561,7 +583,7 @@ def test_factored_images_equal_the_push_of_the_materialized_set():
         cube = solved.free_cube()
         for p, (vp, pushed) in zip(quotient(name).elements,
                                    _symmetries(solved, quotient(name))):
-            assert vp == pair_variable_permutation(p, s)
+            assert vp == tuple(pair_variable_permutation(p, s))
             factored = pushed[:, None] | apply_variable_permutation(cube, vp)[None, :]
             assert np.array_equal(factored.ravel(),
                                   apply_variable_permutation(materialized, vp)), (name, p)

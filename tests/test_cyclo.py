@@ -200,6 +200,7 @@ def test_arithmetic_on_integer_numerators_builds_no_fraction(monkeypatch):
     for _ in range(20):
         for a in values:
             for b in values + others:  # others are of orders 8 and 3: mixed orders embed
-                (a * b, a + b, a - b, -a, b - a, a.embed(48), b.embed(b.order * 5))
+                (a * b, a + b, a - b, -a, b - a, a.embed(48), b.embed(b.order * 5),
+                 hash(a * b))
     monkeypatch.undo()
     assert created == []
