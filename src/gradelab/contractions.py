@@ -177,15 +177,18 @@ def generate_equations(g: Grading) -> ContractionSystem:
         v = var_index[pair_key(total, lk)]
         return (u, v) if u <= v else (v, u)
 
+    # each inner bracket [x_i, x_j], i < j, once; [x_c, x_a] is -[x_a, x_c]
+    inner = {(i, j): algebra.bracket_coords(vectors[i], vectors[j])
+             for i, j in itertools.combinations(range(len(vectors)), 2)}
     seen = set()
     equations = []
     combo_tables = []
     for a, b, c in itertools.combinations(range(len(vectors)), 3):
         xa, xb, xc = vectors[a], vectors[b], vectors[c]
         la, lb, lc = (labels[part_of[a]], labels[part_of[b]], labels[part_of[c]])
-        t1 = algebra.bracket_coords(algebra.bracket_coords(xa, xb), xc)
-        t2 = algebra.bracket_coords(algebra.bracket_coords(xb, xc), xa)
-        t3 = algebra.bracket_coords(algebra.bracket_coords(xc, xa), xb)
+        t1 = algebra.bracket_coords(inner[a, b], xc)
+        t2 = algebra.bracket_coords(inner[b, c], xa)
+        t3 = algebra.bracket_coords([-x for x in inner[a, c]], xb)
         terms = [(term(la, lb, lc, t1), t1),
                  (term(lb, lc, la, t2), t2),
                  (term(lc, la, lb, t3), t3)]
@@ -272,6 +275,17 @@ def jacobi_oracle(candidate: StructureTable) -> bool:
 
 # --- exhaustive binary sweeps (numpy) ----------------------------------------
 
+MASK_BITS = 64  # a mask is one uint64: bit i is the value of variable i
+
+
+def _require_mask_width(system: ContractionSystem) -> None:
+    """Refuse a system whose variables do not all fit one uint64 mask, as
+    numpy's uint64 shift by 64 or more is 0, not an error."""
+    if system.num_variables > MASK_BITS:
+        raise ValueError(f"{system.num_variables} pair variables exceed the "
+                         f"{MASK_BITS}-variable limit of a uint64 mask")
+
+
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 # Bit b of a sweep word is the assignment whose low six active variables are
 # the bits of b: active position pos < 6 reads as the fixed pattern below.
@@ -292,6 +306,7 @@ def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
     `ok` with a bit left are unpacked into assignment numbers.  The kept
     masks carry their bits at the variable indices, free bits zero.
     """
+    _require_mask_width(system)
     active = system.active
     n = len(active)
     if n > 30:
@@ -392,7 +407,7 @@ def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
     return _sweep(system, narrow)
 
 
-# --- backtracking over the equality chains ------------------------------------
+# --- level-by-level search over the equality chains ---------------------------
 
 class NodeCapExceeded(RuntimeError):
     def __init__(self, cap: int, nodes: int, solutions_so_far: int):
@@ -478,18 +493,50 @@ def _node_cap_from_env() -> int:
     return cap
 
 
-def solve_binary(system: ContractionSystem) -> SolutionSet:
-    """Every binary solution, by backtracking over the equality chains.
+def _chain_conflicts(chains, placed):
+    """(fulls, unions): the uint64 masks that tell which children the chains
+    of the variable just placed drop.
 
-    Branches on the constrained variables in a fixed greedy order (most
-    monomials completed with the variables placed, then most occurrences,
-    then lowest index) and checks only the chains of the variable just set:
-    a monomial is known once a factor is 0 or both are 1, and a chain with
-    two known monomials of different values kills the branch.  Free
-    variables are carried symbolically by the returned SolutionSet.  Raises
-    NodeCapExceeded past the node budget (GRADELAB_NODE_CAP, else
-    DEFAULT_NODE_CAP), which covers the whole search.
+    With the variables of `placed` set, a monomial with both factors placed
+    is known, x & y; one with a single factor placed is known 0 where that
+    bit is 0; one with neither is unknown.  A chain drops a child when it
+    holds a known 1 and a known 0: when, for some k, the child sets both
+    bits of fulls[k] (a monomial of the chain with both factors placed) but
+    not every bit of unions[k] (the placed factors of the chain).
     """
+    fulls, unions = [], []
+    for chain in chains:
+        known = [mono for mono in chain if not placed.isdisjoint(mono)]
+        full = [1 << a | 1 << b for a, b in known if a in placed and b in placed]
+        if full and len(known) > 1:
+            fulls += full
+            union = sum(1 << x for x in placed & {f for mono in known for f in mono})
+            unions += [union] * len(full)
+    return np.array(fulls, dtype=np.uint64), np.array(unions, dtype=np.uint64)
+
+
+def solve_binary(system: ContractionSystem) -> SolutionSet:
+    """Every binary solution, searching the equality chains level by level.
+
+    Places the constrained variables in a fixed greedy order (most monomials
+    completed with the variables placed, then most occurrences, then lowest
+    index).  The frontier of depth d is an array of the partial masks that
+    place the first d; its children give the next variable the value 0 and
+    1, and only the chains of that variable are checked (`_chain_conflicts`).
+    The children are built and checked _PUSH_BLOCK at a time, so the
+    temporaries stay small.  Free variables are carried symbolically by the
+    returned SolutionSet.
+
+    The nodes are the root and every child kept, the same tree a
+    depth-first backtracking over the same order visits.  Past the node
+    budget (GRADELAB_NODE_CAP, else DEFAULT_NODE_CAP), which covers the
+    whole search, it raises NodeCapExceeded as soon as the running count
+    passes the budget, so the frontier never holds more masks than the
+    budget; its `nodes` is the count at that block, and its
+    `solutions_so_far` the complete assignments kept when the search
+    stopped, 0 unless the last level was under way.
+    """
+    _require_mask_width(system)
     node_cap = _node_cap_from_env()
     chains_of = {v: [] for v in system.active}
     for eq in system.equations:
@@ -502,39 +549,27 @@ def solve_binary(system: ContractionSystem) -> SolutionSet:
             sum(v in mono and set(mono) <= placed | {v}
                 for chain in chains_of[v] for mono in chain),
             len(chains_of[v]), -v)))
-    value = [-1] * system.num_variables
-    solutions: list = []
-    nodes = 0
-
-    def holds(v) -> bool:
-        for chain in chains_of[v]:
-            common = -1
-            for a, b in chain:
-                x, y = value[a], value[b]
-                m = 0 if x == 0 or y == 0 else 1 if x == y == 1 else -1
-                if m != -1:
-                    if common != -1 and common != m:
-                        return False
-                    common = m
-        return True
-
-    def dfs(depth, mask):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise NodeCapExceeded(node_cap, nodes, len(solutions))
-        if depth == len(order):
-            solutions.append(mask)
-            return
-        v = order[depth]
-        for bit in (0, 1):
-            value[v] = bit
-            if holds(v):
-                dfs(depth + 1, mask | bit << v)
-        value[v] = -1
-
-    dfs(0, 0)
-    return SolutionSet(system, np.array(sorted(solutions), dtype=np.uint64))
+    frontier = np.zeros(1, dtype=np.uint64)
+    nodes = 1
+    step = _PUSH_BLOCK // 2
+    for depth, v in enumerate(order):
+        fulls, unions = _chain_conflicts(chains_of[v], set(order[:depth + 1]))
+        bit = np.uint64(1 << v)
+        kept = []
+        for lo in range(0, frontier.size, step):
+            parents = frontier[lo:lo + step]
+            children = np.concatenate((parents, parents | bit))
+            column = children[:, None]
+            conflict = ((column & fulls) == fulls) & ((column & unions) != unions)
+            children = children[~conflict.any(axis=1)]
+            kept.append(children)
+            nodes += children.size
+            if nodes > node_cap:
+                complete = sum(k.size for k in kept) if depth == len(order) - 1 else 0
+                raise NodeCapExceeded(node_cap, nodes, complete)
+        # the all-zero mask satisfies every chain, so no level is empty
+        frontier = np.concatenate(kept)
+    return SolutionSet(system, np.sort(frontier))
 
 
 # --- normalizer symmetry on solution sets -------------------------------------

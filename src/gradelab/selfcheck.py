@@ -325,7 +325,7 @@ def check_7(bench: _Workbench) -> str:
             raise _Fail(f"{name}: routes disagree on {sym.shape[0]} assignments")
         solved = bench.solutions(name)
         if not np.array_equal(solved.active_masks, by_equations):
-            raise _Fail(f"{name}: backtracking solver disagrees with the "
+            raise _Fail(f"{name}: level-by-level solver disagrees with the "
                         "exhaustive sweep")
         grading = catalog(name).grading
         spot = 0

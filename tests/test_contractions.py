@@ -391,7 +391,48 @@ def test_node_cap_aborts_the_search(monkeypatch):
     with pytest.raises(NodeCapExceeded) as info:
         solve_binary(system("g4"))
     assert info.value.cap == 50
-    assert info.value.nodes >= 50
+    assert info.value.nodes > 50
+    # stopped before the last level, so no complete assignment was held
+    assert info.value.solutions_so_far == 0
+
+
+@pytest.mark.parametrize("name,nodes", [("g1", 1099), ("g2", 4516),
+                                        ("g3", 7819), ("g4", 32729)])
+def test_node_cap_pins_the_search_tree(monkeypatch, name, nodes):
+    # the root and every child kept, the tree of a depth-first backtracking in
+    # the same greedy order: a budget of exactly that many nodes solves, one
+    # less stops the search
+    monkeypatch.setenv("GRADELAB_NODE_CAP", str(nodes))
+    assert solve_binary(system(name)).active_count == solutions(name).active_count
+    monkeypatch.setenv("GRADELAB_NODE_CAP", str(nodes - 1))
+    with pytest.raises(NodeCapExceeded) as info:
+        solve_binary(system(name))
+    assert info.value.nodes > nodes - 1
+
+
+def test_search_in_blocks_of_a_few_masks_matches_one_block(monkeypatch):
+    # blocks of two children: every level spans many blocks on the catalog
+    default = {name: solutions(name).active_masks for name in ("g1", "g2")}
+    monkeypatch.setattr(contractions, "_PUSH_BLOCK", 4)
+    for name, masks in default.items():
+        assert np.array_equal(solve_binary(system(name)).active_masks, masks), name
+    # g1: 1,099 nodes, the last 255 of them its complete assignments; a budget
+    # of 1,000 is passed during the last level, by at most one block of two
+    monkeypatch.setenv("GRADELAB_NODE_CAP", "1000")
+    with pytest.raises(NodeCapExceeded) as info:
+        solve_binary(system("g1"))
+    assert 1000 < info.value.nodes <= 1002
+    assert info.value.solutions_so_far == info.value.nodes - (1099 - 255)
+
+
+def test_systems_past_64_variables_are_refused_before_any_mask_is_built():
+    # numpy's uint64 shift by 64 is 0: variable 64 would alias the empty mask
+    variables = [(v, v) for v in range(65)]
+    eq = Equation(monomials=((0, 64), (1, 2)), triple=(), pivot_coords=(), rank=0)
+    s = ContractionSystem(None, variables, [eq], ())
+    for solver in (solve_binary, sweep_equations, sweep_oracle):
+        with pytest.raises(ValueError, match="64-variable limit"):
+            solver(s)
 
 
 def test_catalog_solves_stay_well_inside_a_small_node_cap(monkeypatch):
