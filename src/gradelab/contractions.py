@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import and_, xor
+from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -149,6 +150,16 @@ def _adapted_basis(g: Grading):
     return vectors, parts, names
 
 
+@lru_cache(maxsize=8)
+def _adapted_brackets(g: Grading) -> MappingProxyType:
+    """{(i, j): [x_i, x_j]} in the original coordinates, for each pair i < j
+    of adapted basis vectors (`_adapted_basis`); shared by
+    `generate_equations` and `_uncontracted_adapted`, so each is computed once."""
+    vectors, _, _ = _adapted_basis(g)
+    return MappingProxyType({(i, j): g.algebra.bracket_coords(vectors[i], vectors[j])
+                             for i, j in itertools.combinations(range(len(vectors)), 2)})
+
+
 def generate_equations(g: Grading) -> ContractionSystem:
     """Derive the monomial relations forced by Jacobi on the contracted bracket."""
     if g.labels is None:
@@ -178,8 +189,7 @@ def generate_equations(g: Grading) -> ContractionSystem:
         return (u, v) if u <= v else (v, u)
 
     # each inner bracket [x_i, x_j], i < j, once; [x_c, x_a] is -[x_a, x_c]
-    inner = {(i, j): algebra.bracket_coords(vectors[i], vectors[j])
-             for i, j in itertools.combinations(range(len(vectors)), 2)}
+    inner = _adapted_brackets(g)
     seen = set()
     equations = []
     combo_tables = []
@@ -248,11 +258,9 @@ def _uncontracted_adapted(g: Grading):
                           [vectors[r][c] for r in range(dim) for c in range(dim)])
     to_adapted = basis_matrix.inverse().transpose()
     upper = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            br = g.algebra.bracket_coords(vectors[i], vectors[j])
-            coords = to_adapted.apply(br)
-            upper[(i, j)] = {k: c for k, c in enumerate(coords) if not c.is_zero()}
+    for (i, j), br in _adapted_brackets(g).items():
+        coords = to_adapted.apply(br)
+        upper[(i, j)] = {k: c for k, c in enumerate(coords) if not c.is_zero()}
     return part_of, StructureTable(dim, upper)
 
 
@@ -287,6 +295,7 @@ def _require_mask_width(system: ContractionSystem) -> None:
 
 
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_NO_BITS = np.uint64(0)
 # Bit b of a sweep word is the assignment whose low six active variables are
 # the bits of b: active position pos < 6 reads as the fixed pattern below.
 _LOW_PATTERNS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> pos & 1))
@@ -298,13 +307,18 @@ def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
 
     Enumerates the 2^len(active) assignments bit-sliced, 64 to a uint64 word
     (assignment number 64*w + b is bit b of word w), 2^CHUNK_BITS
-    assignments at a time.  Active position pos < 6 is a fixed 64-bit
-    pattern; a higher position is an all-ones or all-zeros word, bit pos - 6
-    of the word index.  For each chunk, `narrow(cols, ok)` receives the word
-    column of every active variable (keyed by variable index) and clears,
-    in place, the bits of `ok` whose assignments fail.  Only the words of
-    `ok` with a bit left are unpacked into assignment numbers.  The kept
-    masks carry their bits at the variable indices, free bits zero.
+    assignments at a time.  Active position pos reads bit pos - 6 of the
+    word index, so its word column is of one of three kinds: pos < 6 is a
+    fixed 64-bit pattern; a position whose bit varies within a chunk is an
+    array of all-ones and all-zeros words, built once per sweep from one
+    `np.arange` of a chunk's word places and shared by every chunk; a higher
+    position is constant over a chunk, an np.uint64 scalar of all ones or
+    zero.  For each chunk, `narrow(cols, ok)` receives the column of every
+    active variable (keyed by variable index) and clears, in place, the bits
+    of `ok` whose assignments fail; `ok` is one buffer, refilled per chunk,
+    and every chunk is narrowed whole.  Only the words of `ok` with a bit
+    left are unpacked into assignment numbers.  The kept masks carry their
+    bits at the variable indices, free bits zero.
     """
     _require_mask_width(system)
     active = system.active
@@ -313,17 +327,24 @@ def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
         raise ValueError(f"brute-force sweep over 2^{n} assignments refused")
     keep = []
     total_words = 1 << max(n - 6, 0)
-    chunk_words = 1 << max(CHUNK_BITS - 6, 0)
+    # both counts are powers of two, so every chunk is whole and starts at a
+    # multiple of chunk_words: the low `varying` bits of a word index are
+    # those of its place in the chunk, the higher ones those of the start
+    chunk_words = min(1 << max(CHUNK_BITS - 6, 0), total_words)
+    varying = chunk_words.bit_length() - 1
+    places = np.arange(chunk_words, dtype=np.uint64)
+    varying_cols = [_NO_BITS - ((places >> np.uint64(b)) & np.uint64(1))
+                    for b in range(varying)]
     # with fewer than six variables, one word holds every assignment and its
     # high bits stand for none
     tail = _ALL_ONES if n >= 6 else np.uint64((1 << (1 << n)) - 1)
+    ok = np.empty(chunk_words, dtype=np.uint64)
     for start in range(0, total_words, chunk_words):
-        words = np.arange(start, min(start + chunk_words, total_words),
-                          dtype=np.uint64)
         cols = {v: _LOW_PATTERNS[pos] if pos < 6 else
-                np.uint64(0) - ((words >> np.uint64(pos - 6)) & np.uint64(1))
+                varying_cols[pos - 6] if pos - 6 < varying else
+                _ALL_ONES if start >> (pos - 6) & 1 else _NO_BITS
                 for pos, v in enumerate(active)}
-        ok = np.full(words.shape, tail, dtype=np.uint64)
+        ok.fill(tail)
         narrow(cols, ok)
         hit = np.flatnonzero(ok)
         bits = np.flatnonzero(np.unpackbits(
@@ -335,19 +356,74 @@ def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
     return apply_variable_permutation(np.concatenate(keep).astype(np.uint64), active)
 
 
+# A sweep's word values are uint64 arrays the size of a chunk, or np.uint64
+# scalars for the columns fixed over it.  The helpers below fold the scalars
+# first and write each array-wide result into a buffer given as `out`.
+
+def _and_columns(cols, variables, out):
+    """The AND of the columns of `variables` (distinct; all ones for none):
+    a scalar if every column is one, else `out`, or the one array column
+    itself when the scalars fold to all ones."""
+    scalar = _ALL_ONES
+    words = []
+    for v in variables:
+        if isinstance(cols[v], np.ndarray):
+            words.append(cols[v])
+        else:
+            scalar &= cols[v]
+    if not words or not scalar:
+        return scalar
+    if scalar != _ALL_ONES:
+        words.append(scalar)
+    if len(words) == 1:
+        return words[0]
+    np.bitwise_and(words[0], words[1], out=out)
+    for column in words[2:]:
+        np.bitwise_and(out, column, out=out)
+    return out
+
+
+def _xor_into(a, b, out):
+    """a ^ b, into `out` unless both are scalars."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.bitwise_xor(a, b, out=out)
+    return a ^ b
+
+
+def _clear_outside(ok, kept) -> None:
+    """ok &= kept, in place; a scalar of all ones changes nothing."""
+    if isinstance(kept, np.ndarray) or kept != _ALL_ONES:
+        np.bitwise_and(ok, kept, out=ok)
+
+
+def _chunk_buffers(buffers: list, ok, count: int) -> list:
+    """`count` work arrays shaped like `ok`, made on a sweep's first chunk."""
+    if not buffers:
+        buffers.extend(np.empty_like(ok) for _ in range(count))
+    return buffers
+
+
 def sweep_equations(system: ContractionSystem) -> np.ndarray:
     """All assignments of the active variables satisfying every equation.
 
-    Enumerates 2^len(active) assignments by brute force; returns the sorted
-    masks (bits positioned at the variable indices, free bits zero).
+    Enumerates 2^len(active) assignments by brute force (`_sweep`); returns
+    the sorted masks (bits positioned at the variable indices, free bits
+    zero).  Per chunk, a chain's first monomial is evaluated and inverted
+    once, and each further monomial clears `ok` where it differs, as
+    ok &= ~first ^ value: one XOR and one AND over the chunk.  The scalar
+    columns are folded first (`_and_columns`), and every array-wide result
+    is written into one of two buffers made once per sweep.
     """
+    chains = [[frozenset(mono) for mono in eq.monomials] for eq in system.equations]
+    buffers: list = []
+
     def narrow(cols, ok):
-        for eq in system.equations:
-            first, *rest = [cols[u] & cols[v] for u, v in eq.monomials]
-            for val in rest:
-                ok &= ~(first ^ val)
-            if not ok.any():
-                return
+        inverted, link = _chunk_buffers(buffers, ok, 2)
+        for first, *rest in chains:
+            held = _and_columns(cols, first, inverted)
+            held = np.invert(held, out=inverted) if isinstance(held, np.ndarray) else ~held
+            for mono in rest:
+                _clear_outside(ok, _xor_into(held, _and_columns(cols, mono, link), link))
 
     return _sweep(system, narrow)
 
@@ -386,6 +462,13 @@ def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
     them (pin 1) or vanishes (pin 0), and tables that compile alike are
     swept once.  Pinned-variable irrelevance is a structural fact (their
     blocks bracket to zero) asserted in the test suite.
+
+    Per chunk of `_sweep`, a table XORs its array products into a buffer
+    and its scalar products into one scalar, which also takes the inversion
+    of ok &= ~forbidden: the table ends in one XOR and one AND over the
+    chunk.  The scalar columns are folded first (`_and_columns`), and every
+    array-wide result is written into one of two buffers made once per
+    sweep.
     """
     active = frozenset(system.active)
     tables = {}  # insertion-ordered set of the compiled tables
@@ -397,12 +480,24 @@ def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
         if products:
             tables[frozenset(products)] = None
 
+    buffers: list = []
+
     def narrow(cols, ok):
+        acc, spare = _chunk_buffers(buffers, ok, 2)
         for products in tables:
-            ok &= ~reduce(xor, [reduce(and_, [cols[v] for v in product])
-                                if product else _ALL_ONES for product in products])
-            if not ok.any():
-                return
+            # the XOR of the array products, in `acc`, and of the scalar ones
+            scalar, term = _NO_BITS, None
+            for product in products:
+                value = _and_columns(cols, product, acc if term is None else spare)
+                if not isinstance(value, np.ndarray):
+                    scalar ^= value
+                elif term is None:
+                    term = value
+                else:
+                    term = np.bitwise_xor(term, value, out=acc)
+            # ok &= ~(term ^ scalar), as ok &= term ^ ~scalar
+            _clear_outside(ok, ~scalar if term is None else
+                           np.bitwise_xor(term, ~scalar, out=acc))
 
     return _sweep(system, narrow)
 
@@ -520,7 +615,7 @@ def solve_binary(system: ContractionSystem) -> SolutionSet:
 
     Places the constrained variables in a fixed greedy order (most monomials
     completed with the variables placed, then most occurrences, then lowest
-    index).  The frontier of depth d is an array of the partial masks that
+    index), the completed counts kept up to date as each is placed.  The frontier of depth d is an array of the partial masks that
     place the first d; its children give the next variable the value 0 and
     1, and only the chains of that variable are checked (`_chain_conflicts`).
     The children are built and checked _PUSH_BLOCK at a time, so the
@@ -539,16 +634,27 @@ def solve_binary(system: ContractionSystem) -> SolutionSet:
     _require_mask_width(system)
     node_cap = _node_cap_from_env()
     chains_of = {v: [] for v in system.active}
+    # completed[v]: the monomials of v's chains that placing v would complete,
+    # raised by partners[w][v] (the monomials on v and w) as each w is placed
+    completed = dict.fromkeys(system.active, 0)
+    partners = {v: Counter() for v in system.active}
     for eq in system.equations:
         for v in {x for mono in eq.monomials for x in mono}:
             chains_of[v].append(eq.monomials)
+        for u, w in eq.monomials:
+            if u == w:
+                completed[u] += 1
+            else:
+                partners[u][w] += 1
+                partners[w][u] += 1
     order: list = []
-    for _ in chains_of:
-        placed = set(order)
-        order.append(max(chains_of.keys() - placed, key=lambda v: (
-            sum(v in mono and set(mono) <= placed | {v}
-                for chain in chains_of[v] for mono in chain),
-            len(chains_of[v]), -v)))
+    while completed:
+        v = max(completed, key=lambda u: (completed[u], len(chains_of[u]), -u))
+        order.append(v)
+        del completed[v]
+        for w, count in partners[v].items():
+            if w in completed:
+                completed[w] += count
     frontier = np.zeros(1, dtype=np.uint64)
     nodes = 1
     step = _PUSH_BLOCK // 2

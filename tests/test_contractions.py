@@ -183,41 +183,53 @@ def _brute_force(s, holds):
     return np.array(sorted(masks), dtype=np.uint64)
 
 
+def _assert_sweeps_match_brute_force(s, case):
+    def equations_hold(value):
+        for eq in s.equations:
+            vals = {value[u] & value[v] for u, v in eq.monomials}
+            if len(vals) > 1:
+                return False
+        return True
+
+    by_equations = _brute_force(s, equations_hold)
+    assert np.array_equal(sweep_equations(s), by_equations), case
+    assert np.array_equal(solve_binary(s).active_masks, by_equations), case
+    for pin in (0, 1):
+        def tables_hold(value):
+            full = {v: value.get(v, pin) for v in range(s.num_variables)}
+            for ct in s._combo_tables:
+                code = sum((full[m[0]] & full[m[1]]) << slot
+                           for slot, m in enumerate(ct.factor_vars)
+                           if m is not None)
+                if not (ct.allowed >> code) & 1:
+                    return False
+            return True
+
+        assert np.array_equal(sweep_oracle(s, pin=pin),
+                              _brute_force(s, tables_hold)), (case, pin)
+
+
 def test_sweeps_of_systems_smaller_than_two_words_match_brute_force():
     for n_active in range(9):  # below 64 assignments, one word, two and four
         for seed in range(4):
-            s = _small_system(n_active, seed)
-
-            def equations_hold(value):
-                for eq in s.equations:
-                    vals = {value[u] & value[v] for u, v in eq.monomials}
-                    if len(vals) > 1:
-                        return False
-                return True
-
-            by_equations = _brute_force(s, equations_hold)
-            assert np.array_equal(sweep_equations(s), by_equations), (n_active, seed)
-            assert np.array_equal(solve_binary(s).active_masks, by_equations), \
-                (n_active, seed)
-            for pin in (0, 1):
-                def tables_hold(value):
-                    full = {v: value.get(v, pin) for v in range(s.num_variables)}
-                    for ct in s._combo_tables:
-                        code = sum((full[m[0]] & full[m[1]]) << slot
-                                   for slot, m in enumerate(ct.factor_vars)
-                                   if m is not None)
-                        if not (ct.allowed >> code) & 1:
-                            return False
-                    return True
-
-                assert np.array_equal(sweep_oracle(s, pin=pin),
-                                      _brute_force(s, tables_hold)), (n_active, seed, pin)
+            _assert_sweeps_match_brute_force(_small_system(n_active, seed), (n_active, seed))
 
 
-@pytest.mark.parametrize("chunk_bits", [6, 7])
+def test_sweeps_of_every_column_kind_match_brute_force(monkeypatch):
+    # four words to a chunk: positions 6 and 7 vary within a chunk, and the
+    # 1 to 4 positions above are constant over it, 2 to 16 chunks in all
+    monkeypatch.setattr(contractions, "CHUNK_BITS", 8)
+    for n_active in range(9, 13):
+        for seed in range(3):
+            _assert_sweeps_match_brute_force(_small_system(n_active, seed), (n_active, seed))
+
+
+@pytest.mark.parametrize("chunk_bits", [6, 7, 10])
 def test_sweeps_in_chunks_of_one_and_two_words_match_the_default(monkeypatch, chunk_bits):
-    # one or two words to a chunk: the survivors of every chunk start, of bit
-    # 63 and of the last partial chunk must land on the same assignment numbers
+    # one, two or sixteen words to a chunk: the survivors of every chunk
+    # start and of bit 63 must land on the same assignment numbers; on g1 at
+    # 10 bits that is 32 chunks, with 4 columns varying within a chunk and 5
+    # constant over it
     cases = [system("g1")] + [_small_system(n_active, seed)
                               for n_active in range(9) for seed in range(4)]
     default = [(sweep_equations(s), sweep_oracle(s, pin=0), sweep_oracle(s, pin=1))
