@@ -37,7 +37,7 @@ carries (rep_f^(-T))^T.  The action reads rep^-1 as (rep^(-T))^T as well.
 from __future__ import annotations
 
 from .cyclo import CycloNumber, zeta
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _exact
 from .liealg import LieAlgebra, special_linear
 
 INNER = "inner"
@@ -129,16 +129,48 @@ _SL2_J = Matrix.from_rows([[0, 1], [-1, 0]])
 
 
 def _action_matrix(f: Automorphism) -> Matrix:
-    algebra, rep = f.algebra, f.rep
-    rep_inv = f._inverse_transpose().transpose()
-    cols = []
-    for b in algebra.basis:
-        image = rep_inv * b * rep
-        if f.kind == OUTER:
-            image = -image.transpose()
-        cols.append(algebra.from_matrix(image))
-    dim = algebra.dim
-    return Matrix(dim, dim, [cols[j][i] for i in range(dim) for j in range(dim)])
+    """The action on the basis of `liealg` (E_ij for i != j row-major, then
+    H_k = E_kk - E_(k+1)(k+1)): column c holds the coordinates of the image
+    of basis element c.
+
+    With S = rep^-1, Ad_A E_ij = S E_ij A is the outer product of column i
+    of S and row j of A, and Ad_A H_k is the difference of two such
+    products.  Out_A X = -(S X A)^T negates and transposes: Out_A E_ij is the
+    outer product of column j of -A^T and row i of S^T = rep^(-T).  No matrix
+    product is formed, and every scalar has the representative's order.
+    """
+    n, rep, inv_t = f.algebra.n, f.rep, f._inverse_transpose()
+    if f.kind == INNER:
+        left, right = inv_t.transpose().entries, rep.entries
+    else:
+        left, right = tuple([-e for e in rep.transpose().entries]), inv_t.entries
+    zero = CycloNumber.zero(rep.order)
+
+    def outer(a, b):
+        """Column a of `left` times row b of `right`, flat and row-major."""
+        row = right[b * n:(b + 1) * n]
+        return [zero if x.is_zero() or y.is_zero() else x * y
+                for x in left[a::n] for y in row]
+
+    off = [r * n + c for r in range(n) for c in range(n) if r != c]
+
+    def coords(image):
+        """`LieAlgebra.from_matrix` of a traceless flat image."""
+        out = [image[k] for k in off]
+        partial = zero
+        for k in range(n - 1):
+            partial = partial + image[k * (n + 1)]
+            out.append(partial)
+        return out
+
+    swap = f.kind != INNER
+    cols = [coords(outer(j, i) if swap else outer(i, j))
+            for i in range(n) for j in range(n) if i != j]
+    diag = [outer(k, k) for k in range(n)]
+    cols += [coords([x - y for x, y in zip(diag[k], diag[k + 1])]) for k in range(n - 1)]
+    dim = f.algebra.dim
+    return _exact(dim, dim, tuple([cols[j][i] for i in range(dim) for j in range(dim)]),
+                  rep.order)
 
 
 def make_ad(a: Matrix) -> Automorphism:

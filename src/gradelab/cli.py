@@ -62,8 +62,10 @@ def render_coords(coords, algebra) -> str:
 
 # what reading a bad JSON document raises: a ValueError (bytes that are not
 # UTF-8 or not JSON, a value unparsable or out of range), a missing key, a
-# value of the wrong type, a zero denominator
-_MALFORMED = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
+# value of the wrong type, a zero denominator, an infinite number where an
+# integer belongs (JSON's reader accepts Infinity; int() of it overflows)
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError,
+              OverflowError)
 
 # largest group order `grading label` accepts: the search lists every element
 MAX_LABEL_GROUP_ORDER = 1 << 16

@@ -129,18 +129,27 @@ class Matrix:
                       tuple([e for j in range(cols) for e in entries[j::cols]]), self.order)
 
     def apply(self, vector) -> tuple:
-        """Matrix times column vector (a tuple of cyclotomic numbers)."""
+        """Matrix times column vector (a tuple of cyclotomic numbers).
+
+        Only the vector's nonzero coordinates are multiplied, column by
+        column in increasing order, so each coordinate of the result is the
+        dense sum: its order is the least common multiple of this matrix's
+        order and the orders of the terms it adds, and a row that meets no
+        nonzero term gives zero at this matrix's order."""
         vec = [as_cyclo(v) for v in vector]
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
+        terms = [(j, v) for j, v in enumerate(vec) if not v.is_zero()]
+        entries, n = self.entries, self.cols
         zero = CycloNumber.zero(self.order)
         out = []
-        for i in range(self.rows):
-            acc = zero
-            for a, v in zip(self.row(i), vec):
-                if not a.is_zero() and not v.is_zero():
-                    acc = acc + a * v
-            out.append(acc)
+        for i in range(0, self.rows * n, n):
+            acc = None
+            for j, v in terms:
+                a = entries[i + j]
+                if not a.is_zero():
+                    acc = a * v if acc is None else acc + a * v
+            out.append(zero if acc is None else acc)
         return tuple(out)
 
     def trace(self) -> CycloNumber:
@@ -299,15 +308,20 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
+        """The span of `vectors`, as the nonzero rows of their reduced row
+        echelon form: the rows are embedded once at the common order of all
+        their scalars and eliminated in place by `Matrix._echelon`, with no
+        `Matrix` built around them."""
         vecs = [[as_cyclo(v) for v in vec] for vec in vectors]
         for vec in vecs:
             if len(vec) != ambient_dim:
                 raise ValueError("vector length differs from ambient dimension")
         if not vecs:
             return cls(ambient_dim, [])
-        reduced, pivots = Matrix.from_rows(vecs).rref()
-        rows = [reduced.row(i) for i in range(len(pivots))]
-        return cls(ambient_dim, rows)
+        order = lcm(*{v.order for vec in vecs for v in vec})
+        work = [[v if v.order == order else v.embed(order) for v in vec] for vec in vecs]
+        work, pivots = Matrix._echelon(work, ambient_dim)
+        return cls(ambient_dim, work[:len(pivots)])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -155,16 +155,27 @@ class NormalizerDiscrepancy(RuntimeError):
 def normalizes(h: Automorphism, spec: MadGroupSpec) -> bool:
     """True iff h^-1 G h lies inside G.
 
-    Finite groups are checked element by element.  The infinite families are
-    checked on generic probe elements: a probe with pairwise distinct
-    diagonal forces any successful conjugator into the monomial matrices,
-    and the outer-family probe then pins the residual diagonal freedom, so
-    probe membership of the conjugates is equivalent to normalizing the
-    whole family.
+    A finite group is checked on its separating generators S alone:
+    conjugation by h is a homomorphism, so h^-1 <S> h = <h^-1 S h>, which
+    lies inside the group G = <S> iff every h^-1 s h does.  That G = <S>,
+    the closure of S equal to the stored `elements` that membership looks
+    up, is what selfcheck criterion 3 certifies for g2 and g4.  A finite
+    spec with no separating generators is refused.
+
+    The infinite families are checked on generic probe elements: a probe
+    with pairwise distinct diagonal forces any successful conjugator into
+    the monomial matrices, and the outer-family probe then pins the
+    residual diagonal freedom, so probe membership of the conjugates is
+    equivalent to normalizing the whole family.
     """
-    targets = spec.elements if spec.elements is not None else spec.probes
-    if not targets:
-        raise ValueError(f"spec {spec.name} carries neither elements nor probes")
+    if spec.elements is not None:
+        targets = spec.separating_generators
+        if not targets:
+            raise ValueError(f"finite spec {spec.name} carries no separating generators")
+    else:
+        targets = spec.probes
+        if not targets:
+            raise ValueError(f"spec {spec.name} carries neither elements nor probes")
     return all(spec.membership(conjugate(h, g)) for g in targets)
 
 

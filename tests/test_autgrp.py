@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from gradelab.autgrp import (NAMED_AUTOMORPHISMS, Automorphism,
+from gradelab.autgrp import (NAMED_AUTOMORPHISMS, Automorphism, _action_matrix,
                              automorphism_closure, compose, conjugate,
                              eigenspaces, identity_automorphism, inverse,
                              make_ad, make_out, named_automorphism, order)
-from gradelab.cyclo import zeta
+from gradelab.cyclo import CycloNumber, euler_phi, zeta
 from gradelab.gradings import mad_group_spec
 from gradelab.liealg import special_linear
 from gradelab.linalg import Matrix, as_cyclo
@@ -208,3 +208,41 @@ def test_outer_is_not_inner():
     out_i = named_automorphism("OutI")
     for name in ("AdP", "AdQ", "AdB1", "AdB2", "AdH", "AdS", "AdD"):
         assert named_automorphism(name) != out_i
+
+
+def product_built_action(f):
+    """The action through 3x3 products: rep^-1 b rep per basis element b,
+    negated and transposed for an outer f, read back by `from_matrix`."""
+    algebra, rep = f.algebra, f.rep
+    rep_inv = rep.inverse()
+    cols = []
+    for b in algebra.basis:
+        image = rep_inv * b * rep
+        if f.kind == "outer":
+            image = -image.transpose()
+        cols.append(algebra.from_matrix(image))
+    dim = algebra.dim
+    return Matrix(dim, dim, [cols[j][i] for i in range(dim) for j in range(dim)])
+
+
+def rand_cyclo_invertible(n, orders):
+    while True:
+        entries = [0 if rng.random() < 0.4 else
+                   CycloNumber(order, [rng.randint(-2, 2) for _ in range(euler_phi(order))])
+                   for order in (rng.choice(orders) for _ in range(n * n))]
+        m = Matrix(n, n, entries)
+        if not m.det().is_zero():
+            return m
+
+
+def test_outer_product_actions_match_the_products():
+    # field for field, the scalars' orders included, on sl(2), sl(3), sl(4)
+    for n in (2, 3, 4):
+        for orders in ((1,), (1, 3), (1, 4, 8)):
+            for kind in ("inner", "outer"):
+                for _ in range(2):
+                    f = Automorphism(special_linear(n), kind,
+                                     rand_cyclo_invertible(n, orders))
+                    got, want = _action_matrix(f), product_built_action(f)
+                    assert got.to_json() == want.to_json()
+                    assert got.order == want.order

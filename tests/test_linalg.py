@@ -196,3 +196,60 @@ def test_scalar_multiple_detection():
 def test_matrix_json_round_trip():
     a = rand_matrix(3, 4)
     assert Matrix.from_json(a.to_json()) == a
+
+
+def rand_cyclo_vector(length, orders, density=0.5):
+    return [CycloNumber(order, [rng.randint(-2, 2) for _ in range(euler_phi(order))])
+            if rng.random() < density else CycloNumber.zero(order)
+            for order in (rng.choice(orders) for _ in range(length))]
+
+
+def reference_apply(m, vector):
+    # the dense sum: every entry of a row scanned, the zero terms skipped
+    out = []
+    for i in range(m.rows):
+        acc = CycloNumber.zero(m.order)
+        for a, v in zip(m.row(i), vector):
+            if not a.is_zero() and not v.is_zero():
+                acc = acc + a * v
+        out.append(acc)
+    return out
+
+
+def test_sparse_apply_matches_the_dense_sum():
+    # each coordinate equal to the dense sum's, scalar order included: a row
+    # meeting no nonzero term gives zero at the matrix's order, any other row
+    # the order of the terms it adds
+    cases = [((1,), (1, 3, 4, 8)), ((3,), (1, 3, 4, 8)), ((4,), (3, 8)),
+             ((1, 3), (4,)), ((1, 3, 4, 8), (1, 3, 4, 8))]
+    for matrix_orders, vector_orders in cases:
+        for _ in range(6):
+            m = rand_cyclo_matrix(8, 8, matrix_orders, density=0.3)
+            rows = [list(m.row(i)) for i in range(8)]
+            rows[rng.randrange(8)] = [CycloNumber.zero(m.order)] * 8  # a zero row
+            m = Matrix.from_rows(rows)
+            vectors = [rand_cyclo_vector(8, vector_orders, density)
+                       for density in (0.15, 0.3, 1.0)]
+            vectors.append([CycloNumber.zero(rng.choice(vector_orders))] * 8)
+            for vec in vectors:
+                got, want = m.apply(vec), reference_apply(m, vec)
+                assert [c.to_json() for c in got] == [c.to_json() for c in want]
+
+
+def test_subspace_from_vectors_matches_rref_rows():
+    # dependent, repeated, zero and mixed-order vectors: the basis is the
+    # nonzero rows of the constructor's rref, scalar orders included
+    for orders in ((1,), (3,), (1, 3), (1, 4), (1, 3, 4, 8)):
+        for _ in range(8):
+            ambient = rng.randint(1, 8)
+            vecs = [rand_cyclo_vector(ambient, orders, 0.6)
+                    for _ in range(rng.randint(1, 5))]
+            c = CycloNumber(rng.choice(orders), [1])
+            vecs.append([a + c * b for a, b in zip(vecs[0], vecs[-1])])  # dependent
+            vecs.append(list(vecs[0]))                                  # repeated
+            vecs.append([CycloNumber.zero(rng.choice(orders))] * ambient)
+            rng.shuffle(vecs)
+            reduced, pivots = Matrix.from_rows(vecs).rref()
+            want = [[v.to_json() for v in reduced.row(i)] for i in range(len(pivots))]
+            got = Subspace.from_vectors(ambient, vecs).to_json()
+            assert got == {"ambient_dim": ambient, "basis": want}

@@ -2,13 +2,15 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from gradelab import autgrp, gradings, normalizers, selfcheck
-from gradelab.autgrp import (automorphism_closure, make_ad, make_out,
+from gradelab.autgrp import (NAMED_AUTOMORPHISMS, automorphism_closure,
+                            compose, conjugate, make_ad, make_out,
                             named_automorphism)
 from gradelab.cyclo import zeta
 from gradelab.gradings import (MadGroupSpec, catalog, coarsen, common_eigenspaces,
@@ -111,6 +113,33 @@ def test_normalizes_rejects_outsiders():
     # diag(1,-1,1) conjugation puts -1 entries into the Pauli monomials
     assert not normalizes(named_automorphism("AdH"), mad_group_spec("g4"))
 
+
+
+def test_generator_only_normalizes_matches_every_element():
+    # h^-1 <S> h = <h^-1 S h>: conjugating the separating generators decides
+    # what conjugating every stored element decides, on seeded words of the
+    # named automorphisms, with both verdicts met on each finite group
+    rng = random.Random(25031)
+    named = [named_automorphism(n) for n in sorted(NAMED_AUTOMORPHISMS)]
+    for name in ("g2", "g4"):
+        spec = mad_group_spec(name)
+        verdicts = set()
+        for _ in range(40):
+            h = rng.choice(named)
+            for _ in range(rng.randint(0, 2)):
+                h = compose(h, rng.choice(named))
+            every = all(spec.membership(conjugate(h, g)) for g in spec.elements)
+            assert normalizes(h, spec) == every, (name, h)
+            verdicts.add(every)
+        assert verdicts == {True, False}, name
+
+
+def test_normalizes_refuses_a_finite_spec_without_generators():
+    g4 = mad_group_spec("g4")
+    bare = MadGroupSpec(name="bare", separating_generators=(),
+                        membership=g4.membership, elements=g4.elements)
+    with pytest.raises(ValueError, match="no separating generators"):
+        normalizes(named_automorphism("AdS"), bare)
 
 # Computed quotient orders.  The orthogonal grading is the interesting one:
 # the published table lists 18 there, but the computed group has an element
