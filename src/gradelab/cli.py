@@ -430,7 +430,7 @@ def _format_mask(system, mask: int) -> str:
 
 def cmd_selfcheck(args) -> int:
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = sorted({int(t) for t in args.only.split(",")})
         except ValueError:

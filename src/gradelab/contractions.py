@@ -302,8 +302,14 @@ _LOW_PATTERNS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> pos & 1))
                       for pos in range(6))
 
 
-def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
-    """Sorted masks of the active assignments that `narrow` keeps.
+def _sweep(system: ContractionSystem, tables) -> np.ndarray:
+    """Sorted masks of the active assignments that no table forbids.
+
+    A table is a frozenset of products, each the frozenset of the variables
+    it ANDs (the empty product is the constant 1); it forbids an assignment
+    when an odd number of its products read 1.  Both routes sweep through
+    this one kernel: `sweep_equations` with one two-product table per link
+    of an equality chain, `sweep_oracle` with the compiled residual tables.
 
     Enumerates the 2^len(active) assignments bit-sliced, 64 to a uint64 word
     (assignment number 64*w + b is bit b of word w), 2^CHUNK_BITS
@@ -313,12 +319,13 @@ def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
     array of all-ones and all-zeros words, built once per sweep from one
     `np.arange` of a chunk's word places and shared by every chunk; a higher
     position is constant over a chunk, an np.uint64 scalar of all ones or
-    zero.  For each chunk, `narrow(cols, ok)` receives the column of every
-    active variable (keyed by variable index) and clears, in place, the bits
-    of `ok` whose assignments fail; `ok` is one buffer, refilled per chunk,
-    and every chunk is narrowed whole.  Only the words of `ok` with a bit
-    left are unpacked into assignment numbers.  The kept masks carry their
-    bits at the variable indices, free bits zero.
+    zero.  Per chunk, a table XORs its array products into a buffer and its
+    scalar products into one scalar, which also takes the inversion of
+    ok &= ~forbidden: the table ends in one XOR and one AND over the chunk.
+    `ok` and the two buffers are made once per sweep, and every chunk is
+    swept whole.  Only the words of `ok` with a bit left are unpacked into
+    assignment numbers.  The kept masks carry their bits at the variable
+    indices, free bits zero.
     """
     _require_mask_width(system)
     active = system.active
@@ -338,14 +345,29 @@ def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
     # with fewer than six variables, one word holds every assignment and its
     # high bits stand for none
     tail = _ALL_ONES if n >= 6 else np.uint64((1 << (1 << n)) - 1)
-    ok = np.empty(chunk_words, dtype=np.uint64)
+    ok, acc, spare = (np.empty(chunk_words, dtype=np.uint64) for _ in range(3))
     for start in range(0, total_words, chunk_words):
         cols = {v: _LOW_PATTERNS[pos] if pos < 6 else
                 varying_cols[pos - 6] if pos - 6 < varying else
                 _ALL_ONES if start >> (pos - 6) & 1 else _NO_BITS
                 for pos, v in enumerate(active)}
         ok.fill(tail)
-        narrow(cols, ok)
+        for products in tables:
+            # the XOR of the array products, in `acc`, and of the scalar ones
+            scalar, term = _NO_BITS, None
+            for product in products:
+                value = _and_columns(cols, product, acc if term is None else spare)
+                if not isinstance(value, np.ndarray):
+                    scalar ^= value
+                elif term is None:
+                    term = value
+                else:
+                    term = np.bitwise_xor(term, value, out=acc)
+            # ok &= ~(term ^ scalar), as ok &= term ^ ~scalar
+            if term is not None:
+                np.bitwise_and(ok, np.bitwise_xor(term, ~scalar, out=acc), out=ok)
+            elif scalar:
+                np.bitwise_and(ok, ~scalar, out=ok)
         hit = np.flatnonzero(ok)
         bits = np.flatnonzero(np.unpackbits(
             ok[hit].astype("<u8", copy=False).view(np.uint8), bitorder="little"))
@@ -356,14 +378,11 @@ def _sweep(system: ContractionSystem, narrow) -> np.ndarray:
     return apply_variable_permutation(np.concatenate(keep).astype(np.uint64), active)
 
 
-# A sweep's word values are uint64 arrays the size of a chunk, or np.uint64
-# scalars for the columns fixed over it.  The helpers below fold the scalars
-# first and write each array-wide result into a buffer given as `out`.
-
 def _and_columns(cols, variables, out):
-    """The AND of the columns of `variables` (distinct; all ones for none):
-    a scalar if every column is one, else `out`, or the one array column
-    itself when the scalars fold to all ones."""
+    """The AND of the columns of `variables` (distinct; all ones for none),
+    folding the np.uint64 scalar columns first: a scalar if every column is
+    one, else `out`, or the one array column itself when the scalars fold
+    to all ones."""
     scalar = _ALL_ONES
     words = []
     for v in variables:
@@ -383,49 +402,22 @@ def _and_columns(cols, variables, out):
     return out
 
 
-def _xor_into(a, b, out):
-    """a ^ b, into `out` unless both are scalars."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.bitwise_xor(a, b, out=out)
-    return a ^ b
-
-
-def _clear_outside(ok, kept) -> None:
-    """ok &= kept, in place; a scalar of all ones changes nothing."""
-    if isinstance(kept, np.ndarray) or kept != _ALL_ONES:
-        np.bitwise_and(ok, kept, out=ok)
-
-
-def _chunk_buffers(buffers: list, ok, count: int) -> list:
-    """`count` work arrays shaped like `ok`, made on a sweep's first chunk."""
-    if not buffers:
-        buffers.extend(np.empty_like(ok) for _ in range(count))
-    return buffers
-
-
 def sweep_equations(system: ContractionSystem) -> np.ndarray:
     """All assignments of the active variables satisfying every equation.
 
     Enumerates 2^len(active) assignments by brute force (`_sweep`); returns
     the sorted masks (bits positioned at the variable indices, free bits
-    zero).  Per chunk, a chain's first monomial is evaluated and inverted
-    once, and each further monomial clears `ok` where it differs, as
-    ok &= ~first ^ value: one XOR and one AND over the chunk.  The scalar
-    columns are folded first (`_and_columns`), and every array-wide result
-    is written into one of two buffers made once per sweep.
+    zero).  Each link of an equality chain, its first monomial against a
+    further one, is the two-product table {first} ^ {mono}: it forbids the
+    assignments where the two differ.  A monomial linked to itself cancels
+    and forces nothing, and links that compile alike are swept once.
     """
-    chains = [[frozenset(mono) for mono in eq.monomials] for eq in system.equations]
-    buffers: list = []
-
-    def narrow(cols, ok):
-        inverted, link = _chunk_buffers(buffers, ok, 2)
-        for first, *rest in chains:
-            held = _and_columns(cols, first, inverted)
-            held = np.invert(held, out=inverted) if isinstance(held, np.ndarray) else ~held
-            for mono in rest:
-                _clear_outside(ok, _xor_into(held, _and_columns(cols, mono, link), link))
-
-    return _sweep(system, narrow)
+    tables = {}  # insertion-ordered set of the compiled links
+    for eq in system.equations:
+        first, *rest = (frozenset(mono) for mono in eq.monomials)
+        for mono in rest:
+            tables[frozenset({first} ^ {mono})] = None
+    return _sweep(system, tables)
 
 
 def _forbidden_products(factor_vars, allowed: int) -> frozenset:
@@ -460,15 +452,9 @@ def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
     are compiled once into XOR form (`_forbidden_products`); variables
     outside the active set are pinned to `pin` there, so a product drops
     them (pin 1) or vanishes (pin 0), and tables that compile alike are
-    swept once.  Pinned-variable irrelevance is a structural fact (their
-    blocks bracket to zero) asserted in the test suite.
-
-    Per chunk of `_sweep`, a table XORs its array products into a buffer
-    and its scalar products into one scalar, which also takes the inversion
-    of ok &= ~forbidden: the table ends in one XOR and one AND over the
-    chunk.  The scalar columns are folded first (`_and_columns`), and every
-    array-wide result is written into one of two buffers made once per
-    sweep.
+    swept once, by the same kernel as the equations (`_sweep`).
+    Pinned-variable irrelevance is a structural fact (their blocks bracket
+    to zero) asserted in the test suite.
     """
     active = frozenset(system.active)
     tables = {}  # insertion-ordered set of the compiled tables
@@ -479,27 +465,7 @@ def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
                 products ^= {product & active}
         if products:
             tables[frozenset(products)] = None
-
-    buffers: list = []
-
-    def narrow(cols, ok):
-        acc, spare = _chunk_buffers(buffers, ok, 2)
-        for products in tables:
-            # the XOR of the array products, in `acc`, and of the scalar ones
-            scalar, term = _NO_BITS, None
-            for product in products:
-                value = _and_columns(cols, product, acc if term is None else spare)
-                if not isinstance(value, np.ndarray):
-                    scalar ^= value
-                elif term is None:
-                    term = value
-                else:
-                    term = np.bitwise_xor(term, value, out=acc)
-            # ok &= ~(term ^ scalar), as ok &= term ^ ~scalar
-            _clear_outside(ok, ~scalar if term is None else
-                           np.bitwise_xor(term, ~scalar, out=acc))
-
-    return _sweep(system, narrow)
+    return _sweep(system, tables)
 
 
 # --- level-by-level search over the equality chains ---------------------------
@@ -615,9 +581,10 @@ def solve_binary(system: ContractionSystem) -> SolutionSet:
 
     Places the constrained variables in a fixed greedy order (most monomials
     completed with the variables placed, then most occurrences, then lowest
-    index), the completed counts kept up to date as each is placed.  The frontier of depth d is an array of the partial masks that
-    place the first d; its children give the next variable the value 0 and
-    1, and only the chains of that variable are checked (`_chain_conflicts`).
+    index), the completed counts kept up to date as each is placed.  The
+    frontier of depth d is an array of the partial masks that place the
+    first d; its children give the next variable the value 0 and 1, and
+    only the chains of that variable are checked (`_chain_conflicts`).
     The children are built and checked _PUSH_BLOCK at a time, so the
     temporaries stay small.  Free variables are carried symbolically by the
     returned SolutionSet.

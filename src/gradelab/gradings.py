@@ -166,11 +166,10 @@ class Grading:
         cyclo.check_common_order(c.order for _, basis in bases for row in basis
                                  for c in row if isinstance(c, CycloNumber))
         parts = [Subspace.from_vectors(dim, basis) for dim, basis in bases]
-        group = labels = None
-        if data.get("group") is not None:
-            group = AbelianGroup(data["group"])
-            labels = [tuple(l) for l in data["labels"]]
-        return cls(algebra, parts, group, labels)
+        # `Grading` refuses labels without a group, or a group without labels
+        group, labels = data.get("group"), data.get("labels")
+        return cls(algebra, parts, None if group is None else AbelianGroup(group),
+                   None if labels is None else [tuple(l) for l in labels])
 
     def __repr__(self):
         dims = ",".join(str(d) for d in self.part_dims)

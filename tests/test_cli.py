@@ -7,6 +7,7 @@ import pytest
 
 from gradelab import cli, liealg, selfcheck
 from gradelab.autgrp import NAMED_AUTOMORPHISMS
+from gradelab.gradings import catalog
 
 
 def run(capsys, *argv):
@@ -248,12 +249,15 @@ MIXED_ORDERS = "scalar order 256 raises the common order of the document's scala
 
 
 @pytest.mark.parametrize("case", ["unknown-automorphism", "missing-file",
-                                  "no-parts", "zero-denominator", "bad-json",
+                                  "no-parts", "labels-without-group",
+                                  "zero-denominator", "bad-json",
                                   "bad-json-automorphism", "not-utf8",
                                   *SCALAR_REFUSALS, "mixed-orders",
                                   "mixed-orders-automorphism"])
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
     scalar, refusal = SCALAR_REFUSALS.get(case, (None, MIXED_ORDERS if "mixed" in case else ""))
+    if case == "labels-without-group":
+        refusal = "group and labels must be supplied together"
     one, zero = {"order": 1, "terms": [[1, 1, 0]]}, {"order": 1, "terms": []}
     z255, z256 = ({"order": k, "terms": [[1, 1, 1]]} for k in (255, 256))
     mixed = tmp_path / "mixed.json"
@@ -271,6 +275,13 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
         {"kind": "inner", "rep": {"rows": 3, "cols": 3, "entries": entries}}))
     no_parts = tmp_path / "no_parts.json"
     no_parts.write_text(json.dumps({"n": 3}))
+    # g4's labels with its group left out, one of them out of any range:
+    # once read as an unlabeled grading that passed verification
+    ungrouped = catalog("g4").grading.to_json()
+    del ungrouped["group"]
+    ungrouped["labels"][0] = [9, 9]
+    no_group = tmp_path / "no_group.json"
+    no_group.write_text(json.dumps(ungrouped))
     zero_den = tmp_path / "zero_den.json"
     zero_den.write_text(json.dumps({"n": 3, "parts": [{"basis": ["1/0 E12"]}]}))
     bad_json = tmp_path / "bad.json"
@@ -283,6 +294,7 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
         "missing-file": ["grading", "verify",
                          "--input", str(tmp_path / "missing.json")],
         "no-parts": ["grading", "verify", "--input", str(no_parts)],
+        "labels-without-group": ["grading", "verify", "--input", str(no_group)],
         "zero-denominator": ["grading", "verify", "--input", str(zero_den)],
         "bad-json": ["grading", "verify", "--input", str(bad_json)],
         "bad-json-automorphism": ["normalizer", "check", "--catalog", "g4",
@@ -344,8 +356,10 @@ def test_solve_past_the_node_cap_is_a_one_line_usage_error(capsys, monkeypatch):
 
 
 def test_bad_only_value_is_a_one_line_usage_error(capsys):
-    err = assert_one_line_usage_error(capsys, ["selfcheck", "--only", "1,x"])
-    assert err == "error: bad --only value '1,x'; the checks are numbered 1 to 9\n"
+    # an empty value once ran all nine checks
+    for value in ("1,x", ""):
+        err = assert_one_line_usage_error(capsys, ["selfcheck", "--only", value])
+        assert err == f"error: bad --only value {value!r}; the checks are numbered 1 to 9\n"
 
 
 def test_negative_limit_is_a_one_line_usage_error(capsys):

@@ -246,6 +246,29 @@ def test_sweeps_in_chunks_of_one_and_two_words_match_the_default(monkeypatch, ch
     assert np.array_equal(default[0][2], default[0][0])
 
 
+def test_each_sweep_route_reads_only_its_own_input():
+    # the equation sweep never reads the residual tables, nor the oracle the
+    # equations; a self-link ((v, v), (v, v)) forces nothing, so over the
+    # same active variables its equation sweep keeps all 2^n assignments
+    # (checked up to 2^21: g4's 2^24 masks would take 128 MiB an array)
+    cases = [system(name) for name in ("g1", "g2", "g3", "g4")] + [
+        _small_system(n_active, seed) for n_active in range(9) for seed in range(4)]
+    for s in cases:
+        case = (s.active, len(s.equations))
+        untabled = ContractionSystem(s.grading, s.variables, s.equations, ())
+        assert np.array_equal(sweep_equations(untabled), sweep_equations(s)), case
+        self_links = [Equation(monomials=((v, v), (v, v)), triple=(), pivot_coords=(), rank=0)
+                      for v in s.active]
+        relinked = ContractionSystem(s.grading, s.variables, self_links, s._combo_tables)
+        assert relinked.active == s.active
+        for pin in (0, 1):
+            assert np.array_equal(sweep_oracle(relinked, pin=pin), sweep_oracle(s, pin=pin)), case
+        if len(s.active) <= 21:
+            every = np.arange(1 << len(s.active), dtype=np.uint64)
+            assert np.array_equal(sweep_equations(relinked),
+                                  apply_variable_permutation(every, s.active)), case
+
+
 def _anf_over_variables(variables, forbidden):
     """The unique XOR-of-ANDs form of `forbidden(value)` over `variables`,
     by the Moebius transform of its truth table."""
