@@ -36,7 +36,7 @@ carries (rep_f^(-T))^T.  The action reads rep^-1 as (rep^(-T))^T as well.
 """
 from __future__ import annotations
 
-from .cyclo import CycloNumber, zeta
+from .cyclo import CycloNumber, json_integer, zeta
 from .linalg import Matrix, Subspace, _exact
 from .liealg import LieAlgebra, special_linear
 
@@ -113,7 +113,7 @@ class Automorphism:
     def from_json(cls, data: dict) -> "Automorphism":
         # the algebra first: its size bound refuses sl(40) before the
         # 1600 entries of a 40x40 representative are parsed
-        algebra = special_linear(int(data["rep"]["rows"]))
+        algebra = special_linear(json_integer(data["rep"]["rows"], "rows"))
         rep = Matrix.from_json(data["rep"])
         auto = cls(algebra, data["kind"], rep)
         auto._inverse_transpose()  # a singular representative fails here

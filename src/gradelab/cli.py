@@ -61,9 +61,9 @@ def render_coords(coords, algebra) -> str:
 
 
 # what reading a bad JSON document raises: a ValueError (bytes that are not
-# UTF-8 or not JSON, a value unparsable or out of range), a missing key, a
-# value of the wrong type, a zero denominator, an infinite number where an
-# integer belongs (JSON's reader accepts Infinity; int() of it overflows)
+# UTF-8 or not JSON, a value unparsable or out of range, a non-integer where
+# an integer belongs), a missing key, a value of the wrong type, a zero
+# denominator, an infinite number (JSON's reader accepts Infinity)
 _MALFORMED = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError,
               OverflowError)
 
@@ -71,53 +71,47 @@ _MALFORMED = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError
 MAX_LABEL_GROUP_ORDER = 1 << 16
 
 
-def _malformed(what: str, path: str, exc: Exception) -> ValueError:
-    reason = (f"missing key {exc}" if isinstance(exc, KeyError)
-              else f"{type(exc).__name__}: {exc}")
-    return ValueError(f"malformed {what} in {path!r}: {reason}")
-
-
-def _read_input(path: str) -> bytes:
-    """The bytes of a file, or of stdin for '-'."""
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+def _read_document(path: str, what: str, parse, unreadable: str):
+    """(parse(value), sha256 of the bytes) for the UTF-8 JSON document in a
+    file, or in stdin for '-'; a file that cannot be read is the ValueError
+    `unreadable: reason`, a document `parse` refuses is malformed input."""
+    try:
+        if path == "-":
+            raw = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+    except OSError as exc:
+        raise ValueError(f"{unreadable}: {exc.strerror}") from None
+    try:
+        return parse(json.loads(raw.decode("utf-8"))), hashlib.sha256(raw).hexdigest()
+    except _MALFORMED as exc:
+        reason = (f"missing key {exc}" if isinstance(exc, KeyError)
+                  else f"{type(exc).__name__}: {exc}")
+        raise ValueError(f"malformed {what} in {path!r}: {reason}") from None
 
 
 def _load_automorphism(spec_text: str, n: int) -> Automorphism:
     """A named automorphism, or one of sl(n) from a JSON file or stdin ('-')."""
     if spec_text in NAMED_AUTOMORPHISMS:
         return named_automorphism(spec_text)
-    try:
-        raw = _read_input(spec_text)
-    except OSError as exc:
-        raise ValueError(
-            f"unknown automorphism {spec_text!r}: not one of "
-            f"{', '.join(sorted(NAMED_AUTOMORPHISMS))}, and not a readable "
-            f"file ({exc.strerror})") from None
-    try:
-        auto = Automorphism.from_json(json.loads(raw))
+
+    def parse(data) -> Automorphism:
+        auto = Automorphism.from_json(data)
         if auto.algebra.n != n:
             raise ValueError(f"an automorphism of sl({auto.algebra.n}), not of sl({n})")
-    except _MALFORMED as exc:
-        raise _malformed("automorphism", spec_text, exc) from None
-    return auto
+        return auto
+
+    return _read_document(
+        spec_text, "automorphism", parse,
+        f"unknown automorphism {spec_text!r}: not one of "
+        f"{', '.join(sorted(NAMED_AUTOMORPHISMS))}, and not a readable file")[0]
 
 
 def _load_grading(path: str):
     """Grading from a JSON file or stdin ('-'); returns (grading, sha256)."""
-    try:
-        raw = _read_input(path)
-    except OSError as exc:
-        raise ValueError(f"cannot read grading file {path!r}: "
-                         f"{exc.strerror}") from None
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        grading = Grading.from_json(json.loads(raw.decode("utf-8")))
-    except _MALFORMED as exc:
-        raise _malformed("grading", path, exc) from None
-    return grading, digest
+    return _read_document(path, "grading", Grading.from_json,
+                          f"cannot read grading file {path!r}")
 
 
 def _group_from_spec(text: str) -> AbelianGroup:
@@ -166,14 +160,14 @@ def _axiom_lines(cert) -> list:
 
 
 def cmd_grading_verify(args) -> int:
+    if (args.catalog is None) == (args.input is None):
+        raise ValueError("grading verify needs exactly one of --catalog and --input")
     if args.catalog:
         g = catalog(args.catalog).grading
         source, digest = args.catalog, None
-    elif args.input:
+    else:
         g, digest = _load_grading(args.input)
         source = args.input
-    else:
-        raise ValueError("grading verify needs --catalog or --input")
     cert = verify_grading(g)
     labels_ok = None
     if g.labels is not None:
@@ -379,15 +373,15 @@ def cmd_contract_solve(args) -> int:
                            for i in system.free],
             "constrained_solution_count": solved.active_count,
             "total_solutions": len(solved)}
-    shown = [_mask_to_pair_map(system, int(m))
-             for m in solved.active_masks[:limit if limit else None]]
-    data["solutions"] = shown
+    shown = [int(m) for m in solved.active_masks[:limit if limit else None]]
+    data["solutions"] = [_mask_to_pair_map(system, m) for m in shown]
     data["solutions_shown"] = len(shown)
     data["solutions_note"] = ("constrained patterns; every unconstrained "
                               "pair may independently take either value")
     if limit and solved.active_count > limit:
         lines.append(f"showing first {limit} constrained patterns "
                      "(use --limit 0 for all)")
+    lines.extend(f"  pattern {_format_mask(system, m)}" for m in shown)
     if args.orbits:
         entry = catalog(args.catalog)
         q = quotient_group(entry.spec, entry.grading,
@@ -456,14 +450,19 @@ def cmd_selfcheck(args) -> int:
 
 # --- parser -----------------------------------------------------------------------
 
-def _add_format(p):
+def _subcommand(parsers, name, help, func, options=(), catalog_flag="required"):
+    """Add the subcommand `name` running `func`: its --catalog ("required",
+    "optional", or None for none), then its own (flag, keywords) `options`,
+    then --format, the order its --help lists them in."""
+    p = parsers.add_parser(name, help=help)
+    if catalog_flag:
+        p.add_argument("--catalog", choices=CATALOG, required=catalog_flag == "required",
+                       help="one of the four catalog gradings")
+    for flag, keywords in options:
+        p.add_argument(flag, **keywords)
     p.add_argument("--format", choices=("human", "json"), default="human",
                    help="output format (json is byte-deterministic)")
-
-
-def _add_catalog(p, required=True):
-    p.add_argument("--catalog", choices=CATALOG, required=required,
-                   help="one of the four catalog gradings")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,83 +475,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     grading = sub.add_parser("grading", help="catalog gradings and verification")
     gsub = grading.add_subparsers(dest="subcommand", required=True)
-
-    p = gsub.add_parser("show", help="print a catalog grading")
-    _add_catalog(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_grading_show)
-
-    p = gsub.add_parser("verify", help="check the grading axiom")
-    _add_catalog(p, required=False)
-    p.add_argument("--input", help="grading JSON file, or - for stdin")
-    _add_format(p)
-    p.set_defaults(func=cmd_grading_verify)
-
-    p = gsub.add_parser("label", help="search for an additive labeling")
-    _add_catalog(p)
-    p.add_argument("--group", required=True,
-                   help="cyclic orders, e.g. 7 or 3,3")
-    _add_format(p)
-    p.set_defaults(func=cmd_grading_label)
-
-    p = gsub.add_parser("coarsen", help="merge parts and re-verify")
-    _add_catalog(p)
-    p.add_argument("--merge", action="append", metavar="I,J[,K...]",
-                   help="part indices to merge (repeatable)")
-    _add_format(p)
-    p.set_defaults(func=cmd_grading_coarsen)
+    _subcommand(gsub, "show", "print a catalog grading", cmd_grading_show)
+    _subcommand(gsub, "verify", "check the grading axiom", cmd_grading_verify,
+                [("--input", dict(help="grading JSON file, or - for stdin"))],
+                catalog_flag="optional")
+    _subcommand(gsub, "label", "search for an additive labeling", cmd_grading_label,
+                [("--group", dict(required=True,
+                                  help="cyclic orders, e.g. 7 or 3,3"))])
+    _subcommand(gsub, "coarsen", "merge parts and re-verify", cmd_grading_coarsen,
+                [("--merge", dict(action="append", metavar="I,J[,K...]",
+                                  help="part indices to merge (repeatable)"))])
 
     norm = sub.add_parser("normalizer", help="normalizer quotients")
     nsub = norm.add_subparsers(dest="subcommand", required=True)
-
-    p = nsub.add_parser("check", help="does an automorphism normalize a group")
-    _add_catalog(p)
-    p.add_argument("--auto", required=True,
-                   help="named automorphism (" +
-                        ", ".join(sorted(NAMED_AUTOMORPHISMS)) +
-                        "), a JSON file, or - for stdin")
-    _add_format(p)
-    p.set_defaults(func=cmd_normalizer_check)
-
-    p = nsub.add_parser("quotient", help="the quotient permutation group")
-    _add_catalog(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_normalizer_group)
-
-    p = nsub.add_parser("inner", help="the inner subquotient")
-    _add_catalog(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_normalizer_group)
-
-    p = nsub.add_parser("linearize", help="2x2 model of a label action")
-    _add_catalog(p)
-    p.add_argument("--auto", required=True,
-                   help="automorphism to linearize (named, file, or -)")
-    _add_format(p)
-    p.set_defaults(func=cmd_normalizer_linearize)
+    _subcommand(nsub, "check", "does an automorphism normalize a group",
+                cmd_normalizer_check,
+                [("--auto", dict(required=True,
+                                 help="named automorphism (" +
+                                      ", ".join(sorted(NAMED_AUTOMORPHISMS)) +
+                                      "), a JSON file, or - for stdin"))])
+    _subcommand(nsub, "quotient", "the quotient permutation group", cmd_normalizer_group)
+    _subcommand(nsub, "inner", "the inner subquotient", cmd_normalizer_group)
+    _subcommand(nsub, "linearize", "2x2 model of a label action", cmd_normalizer_linearize,
+                [("--auto", dict(required=True,
+                                 help="automorphism to linearize (named, file, or -)"))])
 
     contract = sub.add_parser("contract", help="binary graded contractions")
     csub = contract.add_subparsers(dest="subcommand", required=True)
+    _subcommand(csub, "equations", "generate the quadratic relations",
+                cmd_contract_equations)
+    _subcommand(csub, "solve", "enumerate all binary solutions", cmd_contract_solve,
+                [("--orbits", dict(action="store_true",
+                                   help="partition solutions into symmetry orbits")),
+                 ("--limit", dict(type=int, default=20,
+                                  help="solutions/orbits to print (0 = all)"))])
 
-    p = csub.add_parser("equations", help="generate the quadratic relations")
-    _add_catalog(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_contract_equations)
-
-    p = csub.add_parser("solve", help="enumerate all binary solutions")
-    _add_catalog(p)
-    p.add_argument("--orbits", action="store_true",
-                   help="partition solutions into symmetry orbits")
-    p.add_argument("--limit", type=int, default=20,
-                   help="solutions/orbits to print (0 = all)")
-    _add_format(p)
-    p.set_defaults(func=cmd_contract_solve)
-
-    p = sub.add_parser("selfcheck", help="run the golden verification suite")
-    p.add_argument("--only", help="comma-separated check numbers")
-    _add_format(p)
-    p.set_defaults(func=cmd_selfcheck)
-
+    _subcommand(sub, "selfcheck", "run the golden verification suite", cmd_selfcheck,
+                [("--only", dict(help="comma-separated check numbers"))], catalog_flag=None)
     return parser
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isinf, lcm
 
 # Canonical forms (conductor and coordinates there) kept for reuse; a bound
 # far above what a run meets (a few hundred distinct values), so it costs no
@@ -40,6 +40,18 @@ def check_common_order(orders) -> None:
         if common > MAX_JSON_ORDER:
             raise ValueError(f"scalar order {order} raises the common order of the "
                              f"document's scalars to {common}, above {MAX_JSON_ORDER}")
+
+
+def json_integer(value, key: str) -> int:
+    """`value`, read from the JSON field `key`, if JSON read it as an integer.
+    int() would truncate 3.7, read true as 1 and "3" as 3, so a float, a bool
+    or a string is a ValueError; an infinity (JSON's reader accepts Infinity)
+    is an OverflowError, as int() of it is."""
+    if isinstance(value, float) and isinf(value):
+        raise OverflowError(f"{key}: {value} is not an integer")
+    if type(value) is not int:
+        raise ValueError(f"{key}: {value!r} is not an integer")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -387,14 +399,16 @@ class CycloNumber:
 
     @classmethod
     def from_json(cls, data: dict) -> "CycloNumber":
-        """The value of `to_json`'s output; ValueError for an order outside
+        """The value of `to_json`'s output; ValueError for an order or a term
+        number that is not an integer (`json_integer`), an order outside
         1..MAX_JSON_ORDER or an exponent outside 0..phi(order)-1."""
-        order = int(data["order"])
+        order = json_integer(data["order"], "order")
         if not 1 <= order <= MAX_JSON_ORDER:
             raise ValueError(f"scalar order {order} is outside 1..{MAX_JSON_ORDER}")
         phi = euler_phi(order)
         coeffs = [0] * phi
-        for num, den, exp in data["terms"]:
+        for term in data["terms"]:
+            num, den, exp = (json_integer(t, "terms") for t in term)
             if not 0 <= exp < phi:
                 raise ValueError(f"exponent {exp} of a scalar of order {order} "
                                  f"is outside 0..{phi - 1}")

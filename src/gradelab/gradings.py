@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import cyclo
-from .cyclo import CycloNumber, zeta
+from .cyclo import CycloNumber, json_integer, zeta
 from .linalg import Matrix, Subspace
 from .liealg import LieAlgebra, parse_element, special_linear
 from .autgrp import (
@@ -159,8 +159,8 @@ class Grading:
         """
         if "grading" in data and "parts" not in data:
             data = data["grading"]
-        algebra = special_linear(int(data["n"]))
-        bases = [(int(p.get("ambient_dim", algebra.dim)),
+        algebra = special_linear(json_integer(data["n"], "n"))
+        bases = [(json_integer(p.get("ambient_dim", algebra.dim), "ambient_dim"),
                   [_vector(row, algebra) for row in p["basis"]]) for p in data["parts"]]
         # before `Subspace.from_vectors` embeds any scalar
         cyclo.check_common_order(c.order for _, basis in bases for row in basis
@@ -168,8 +168,11 @@ class Grading:
         parts = [Subspace.from_vectors(dim, basis) for dim, basis in bases]
         # `Grading` refuses labels without a group, or a group without labels
         group, labels = data.get("group"), data.get("labels")
-        return cls(algebra, parts, None if group is None else AbelianGroup(group),
-                   None if labels is None else [tuple(l) for l in labels])
+        return cls(algebra, parts,
+                   None if group is None else
+                   AbelianGroup([json_integer(k, "group") for k in group]),
+                   None if labels is None else
+                   [tuple(json_integer(a, "labels") for a in l) for l in labels])
 
     def __repr__(self):
         dims = ",".join(str(d) for d in self.part_dims)

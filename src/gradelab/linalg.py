@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import CycloNumber, check_common_order
+from .cyclo import CycloNumber, check_common_order, json_integer
 
 
 def as_cyclo(value) -> CycloNumber:
@@ -267,7 +267,8 @@ class Matrix:
         checked (`check_common_order`) before `__init__` embeds them."""
         entries = [CycloNumber.from_json(e) for e in data["entries"]]
         check_common_order(e.order for e in entries)
-        return cls(int(data["rows"]), int(data["cols"]), entries)
+        return cls(json_integer(data["rows"], "rows"),
+                   json_integer(data["cols"], "cols"), entries)
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(e) for e in self.row(i)) for i in range(self.rows))

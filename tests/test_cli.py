@@ -6,7 +6,7 @@ import types
 import pytest
 
 from gradelab import cli, liealg, selfcheck
-from gradelab.autgrp import NAMED_AUTOMORPHISMS
+from gradelab.autgrp import NAMED_AUTOMORPHISMS, named_automorphism
 from gradelab.gradings import catalog
 
 
@@ -172,6 +172,15 @@ def test_contract_solve_with_orbits(capsys):
     assert sum(orbits["size_histogram"].values()) == 75
 
 
+def test_contract_solve_lists_the_patterns_it_shows(capsys):
+    # the human output once announced the first patterns and printed none
+    for argv, count in ((("--catalog", "g2", "--limit", "3"), 3),
+                        (("--catalog", "g1", "--limit", "0"), 255)):
+        rc, out = run(capsys, "contract", "solve", *argv)
+        assert rc == 0
+        assert sum(line.startswith("  pattern {") for line in out.splitlines()) == count
+
+
 def test_json_output_is_byte_deterministic(capsys):
     _, first = run(capsys, "normalizer", "quotient", "--catalog", "g2",
                    "--format", "json")
@@ -224,6 +233,7 @@ def test_bad_group_spec_is_a_usage_error(capsys):
                  ["grading", "coarsen", "--catalog", "g1",
                   "--merge", "1,2", "--merge", "2,3"],
                  ["grading", "verify"],
+                 ["grading", "verify", "--catalog", "g1", "--input", "missing.json"],
                  ["grading", "label", "--catalog", "g1", "--group", "100000000"]):
         err = assert_one_line_usage_error(capsys, argv)
         if "label" in argv:
@@ -243,6 +253,22 @@ SCALAR_REFUSALS = {
     "scalar-automorphism": ({"order": 3, "terms": [[1, 1, 2]]},
                             "exponent 2 of a scalar of order 3 is outside 0..1"),
 }
+# numbers that should be integers, which int() once truncated or converted,
+# each at a (key path, value) in g4's grading or, under "rep", AdS's
+# automorphism document: every one of these verified, or gave a verdict, with exit 0
+NON_INTEGERS = {
+    "non-integer-n": (("n",), 3.7, "n: 3.7 is not an integer"),
+    "non-integer-ambient-dim": (("parts", 0, "ambient_dim"), 8.5,
+                                "ambient_dim: 8.5 is not an integer"),
+    "non-integer-group": (("group",), [3.9, 3], "group: 3.9 is not an integer"),
+    "non-integer-labels": (("labels", 1), [2.0, 0.0], "labels: 2.0 is not an integer"),
+    "non-integer-rows": (("rep", "rows"), 3.5, "rows: 3.5 is not an integer"),
+    "non-integer-cols": (("rep", "cols"), 3.2, "cols: 3.2 is not an integer"),
+    "non-integer-order": (("rep", "entries", 0, "order"), "3",
+                          "order: '3' is not an integer"),
+    "non-integer-terms": (("rep", "entries", 0, "terms"), [[1, True, 0]],
+                          "terms: True is not an integer"),
+}
 # orders 255 and 256 each pass, but their arithmetic embeds both at order
 # 65280: a file holding the two ran past an 8 s timeout before the common-order bound
 MIXED_ORDERS = "scalar order 256 raises the common order of the document's scalars to 65280"
@@ -253,7 +279,8 @@ MIXED_ORDERS = "scalar order 256 raises the common order of the document's scala
                                   "zero-denominator", "bad-json",
                                   "bad-json-automorphism", "not-utf8",
                                   *SCALAR_REFUSALS, "mixed-orders",
-                                  "mixed-orders-automorphism"])
+                                  "mixed-orders-automorphism", "utf16-automorphism",
+                                  *NON_INTEGERS])
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
     scalar, refusal = SCALAR_REFUSALS.get(case, (None, MIXED_ORDERS if "mixed" in case else ""))
     if case == "labels-without-group":
@@ -288,6 +315,18 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
     bad_json.write_text("not json")
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b"\xff\xfe")
+    # a UTF-16 automorphism file was once read, while a UTF-16 grading was refused
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(json.dumps(named_automorphism("AdS").to_json()).encode("utf-16"))
+    non_integer = tmp_path / "non_integer.json"
+    if case in NON_INTEGERS:
+        path, value, refusal = NON_INTEGERS[case]
+        doc = (named_automorphism("AdS") if path[0] == "rep" else catalog("g4").grading).to_json()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        non_integer.write_text(json.dumps(doc))
     argv = {
         "unknown-automorphism": ["normalizer", "check", "--catalog", "g4",
                                  "--auto", "Foo"],
@@ -309,6 +348,11 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
         "mixed-orders": ["grading", "verify", "--input", str(mixed)],
         "mixed-orders-automorphism": ["normalizer", "check", "--catalog", "g4",
                                       "--auto", str(mixed_rep)],
+        "utf16-automorphism": ["normalizer", "check", "--catalog", "g4",
+                               "--auto", str(utf16)],
+        **{name: ["normalizer", "check", "--catalog", "g4", "--auto", str(non_integer)]
+           if path[0] == "rep" else ["grading", "verify", "--input", str(non_integer)]
+           for name, (path, _, _) in NON_INTEGERS.items()},
     }[case]
     err = assert_one_line_usage_error(capsys, argv)
     assert repr(argv[-1]) in err and refusal in err
