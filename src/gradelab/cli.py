@@ -450,6 +450,15 @@ def cmd_selfcheck(args) -> int:
 
 # --- parser -----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its usage errors in the CLI's one-line form:
+    `error: ...` on stderr and exit code 2, with no usage block.  Subcommand
+    parsers are made by `add_parser`, which builds them of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _subcommand(parsers, name, help, func, options=(), catalog_flag="required"):
     """Add the subcommand `name` running `func`: its --catalog ("required",
     "optional", or None for none), then its own (flag, keywords) `options`,
@@ -466,7 +475,7 @@ def _subcommand(parsers, name, help, func, options=(), catalog_flag="required"):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradelab",
         description="Exact-arithmetic workbench for the fine gradings of "
                     "sl(3,C), their normalizer symmetries, and binary "

@@ -374,8 +374,13 @@ def _sweep(system: ContractionSystem, tables) -> np.ndarray:
         # bit b of the k-th surviving word is assignment 64*(start + hit[k]) + b;
         # int64 throughout, as n <= 30 keeps every number far below 2^63
         keep.append((hit[bits >> 6] + start) << 6 | bits & 63)
+    # the assignment numbers are nonnegative, so their int64 bits read alike
+    # as uint64; the chunks' arrays go before the scatter makes its result,
+    # so at most two arrays of the result's size are alive at once
+    masks = np.concatenate(keep).view(np.uint64)
+    del keep
     # `active` is increasing, so the scatter keeps the masks sorted
-    return apply_variable_permutation(np.concatenate(keep).astype(np.uint64), active)
+    return apply_variable_permutation(masks, active)
 
 
 def _and_columns(cols, variables, out):

@@ -468,6 +468,53 @@ def _fraction(a: int, den: int) -> tuple[int, int]:
     return a // g, den // g
 
 
+def _dot(order: int, pairs) -> CycloNumber:
+    """The sum of a * b over `pairs`, each factor at `order` or rational.
+
+    A rational factor (phi(its order) = 1: orders 1 and 2) is read as its
+    one numerator, so it needs no embedding; every other factor must be at
+    `order` already.  The integer products of all pairs accumulate in one
+    list of 2 phi - 1 numerators over the least common multiple of their
+    denominators, merged by gcd as `__add__` merges two, and only the sum
+    is folded and put in lowest terms: canonical, so equal to the value a
+    product-by-product sum gives, at `order`.  Zero factors add nothing;
+    no pairs give the shared zero of `order`.
+    """
+    if not pairs:
+        return _constant(0, order)
+    phi = euler_phi(order)
+    acc = [0] * (2 * phi - 1)
+    den = 1
+    for a, b in pairs:
+        an, bn = a.nums, b.nums
+        d = a.den * b.den
+        if d != den:  # den becomes lcm(den, d); acc and this term scale to it
+            g = gcd(den, d)
+            s = d // g
+            if s != 1:
+                acc = [v * s for v in acc]
+                den *= s
+            if d != den:
+                m = den // d
+                an = [x * m for x in an]
+        if len(an) == 1:
+            an, bn = bn, an
+        if len(bn) == 1:  # a rational factor: one integer scales the other
+            y = bn[0]
+            for i, x in enumerate(an):
+                acc[i] += x * y
+        else:
+            i = 0
+            for x in an:
+                if x:
+                    k = i
+                    for y in bn:
+                        acc[k] += x * y
+                        k += 1
+                i += 1
+    return _lowest(order, _fold(acc, order), den)
+
+
 @lru_cache(maxsize=None)
 def _constant(value: int, order: int) -> CycloNumber:
     """The shared 0 or 1 of Q(zeta_order)."""

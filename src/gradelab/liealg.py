@@ -17,9 +17,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .cyclo import CycloNumber
-from .linalg import Matrix, as_cyclo
+from .cyclo import CycloNumber, _dot
+from .linalg import Matrix, _at, as_cyclo
 
 # largest n of sl(n) that may be built: the bracket table grows like n^6
 # (about 1 s of CPU for sl(8), 2 s for sl(9))
@@ -103,24 +104,38 @@ class LieAlgebra:
         raise AttributeError("LieAlgebra is immutable")
 
     def bracket_coords(self, x, y) -> tuple:
-        """Bracket of two coordinate vectors, as a coordinate vector."""
+        """Bracket of two coordinate vectors, as a coordinate vector.
+
+        Each product x_i y_j is formed once; coordinate k is then one
+        `cyclo._dot` over the pairs (structure constant, x_i y_j), the
+        constants rational and unembedded.  A coordinate's order is the
+        least common multiple of the orders of its products x_i y_j, and a
+        coordinate that no product reaches is the zero of order 1."""
         table = self.structure_constant
-        acc: dict[int, CycloNumber] = {}
+        ys = [(j, yj) for j, yj in enumerate(y) if any(yj.nums)]
+        terms: dict[int, list] = {}
         for i, xi in enumerate(x):
-            if xi.is_zero():
+            if not any(xi.nums):
                 continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
+            for j, yj in ys:
                 entry = table(i, j)
-                if not entry:
-                    continue
-                coeff = xi * yj
-                for k, c in entry.items():
-                    cur = acc.get(k)
-                    acc[k] = c * coeff if cur is None else cur + c * coeff
+                if entry:
+                    coeff = xi * yj
+                    for k, c in entry.items():
+                        terms.setdefault(k, []).append((c, coeff))
         zero = CycloNumber.zero()
-        return tuple(acc.get(k, zero) for k in range(self.dim))
+        out = []
+        for k in range(self.dim):
+            pairs = terms.get(k)
+            if pairs is None:
+                out.append(zero)
+                continue
+            order, *others = {b.order for _, b in pairs}
+            if others:
+                order = lcm(order, *others)
+                pairs = [(c, _at(order, b)) for c, b in pairs]
+            out.append(_dot(order, pairs))
+        return tuple(out)
 
     def from_matrix(self, m: Matrix) -> tuple:
         """Coordinates of a traceless n x n matrix in the fixed basis."""

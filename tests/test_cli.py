@@ -380,6 +380,39 @@ def test_unknown_catalog_is_rejected(capsys):
         cli.main(["grading", "show", "--catalog", "g9"])
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["contract", "solve", "--catalog", "g1", "--limit", "abc"],
+     "error: argument --limit: invalid int value: 'abc'\n"),
+    (["grading", "label", "--catalog", "g1"],
+     "error: the following arguments are required: --group\n"),
+    # newer Pythons quote the choices differently, so only the start is pinned
+    (["grading", "show", "--catalog", "g9"], "error: argument --catalog: invalid choice: "),
+    (["grading", "show", "--catalog", "g1", "--bogus"],
+     "error: unrecognized arguments: --bogus\n"),
+    (["normalizer"], "error: the following arguments are required: subcommand\n"),
+])
+def test_argparse_usage_errors_are_one_line(capsys, argv, err):
+    # argparse's own refusals once printed a usage block before the error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.err.startswith(err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["contract", "solve", "--help"]])
+def test_help_is_still_a_usage_block_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.err == ""
+    assert captured.out.startswith("usage: gradelab")
+    assert captured.out.count("\n") > 3
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_node_cap_is_a_one_line_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("GRADELAB_NODE_CAP", value)
