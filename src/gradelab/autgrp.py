@@ -4,7 +4,8 @@ An automorphism stores its kind and a projective representative matrix A
 (no determinant normalization, so everything stays inside small cyclotomic
 fields).  Its induced (n^2-1) x (n^2-1) action matrix on the fixed basis is
 built from A the first time it is read, and kept; only the code that moves
-vectors reads it (`apply_coords`, `eigenspaces`).
+vectors reads it (`apply_coords`, and `gradings.common_eigenspaces` for its
+joint eigenspaces).
 
 Inner:  Ad_A X = A^-1 X A.      Outer:  Out_A X = -(A^-1 X A)^T.
 
@@ -37,7 +38,7 @@ carries (rep_f^(-T))^T.  The action reads rep^-1 as (rep^(-T))^T as well.
 from __future__ import annotations
 
 from .cyclo import CycloNumber, json_integer, zeta
-from .linalg import Matrix, Subspace, _exact
+from .linalg import Matrix, _exact
 from .liealg import LieAlgebra, special_linear
 
 INNER = "inner"
@@ -216,48 +217,19 @@ def conjugate(h: Automorphism, g: Automorphism) -> Automorphism:
     return compose(inverse(h), compose(g, h))
 
 
-def order(f: Automorphism) -> int | None:
-    """Multiplicative order of f, or None if it exceeds DEFAULT_ORDER_CAP."""
+def order(f: Automorphism) -> int:
+    """Multiplicative order of f; InfiniteOrderError past DEFAULT_ORDER_CAP."""
     power = f
     for k in range(1, DEFAULT_ORDER_CAP + 1):
         if power.is_identity():
             return k
         power = compose(f, power)
-    return None
+    raise InfiniteOrderError(
+        f"order exceeds cap {DEFAULT_ORDER_CAP}; pass finite-order separating generators")
 
 
 class InfiniteOrderError(ValueError):
     pass
-
-
-def eigenspaces(f: Automorphism) -> list[tuple[CycloNumber, Subspace]]:
-    """Exact eigenpairs of a finite-order automorphism.
-
-    Eigenvalues of an order-m automorphism are m-th roots of unity; each is
-    tried and nonzero kernels are kept.  The spaces always sum to the whole
-    algebra because the action is diagonalizable (finite order).
-    """
-    m = order(f)
-    if m is None:
-        raise InfiniteOrderError(
-            f"order exceeds cap {DEFAULT_ORDER_CAP}; pass finite-order separating generators")
-    dim = f.algebra.dim
-    action = f.action
-    found = []
-    total = 0
-    for k in range(m):
-        lam = zeta(m, k)
-        # f - lam: only the diagonal moves
-        entries = list(action.entries)
-        for i in range(0, dim * dim, dim + 1):
-            entries[i] = entries[i] - lam
-        kern = Matrix(dim, dim, entries).kernel()
-        if kern.dim:
-            found.append((lam, kern))
-            total += kern.dim
-    if total != dim:
-        raise ArithmeticError("eigenspaces do not fill the algebra")
-    return found
 
 
 class ClosureCapExceeded(RuntimeError):

@@ -7,10 +7,10 @@ import pytest
 
 from gradelab.autgrp import (NAMED_AUTOMORPHISMS, Automorphism, _action_matrix,
                              automorphism_closure, compose, conjugate,
-                             eigenspaces, identity_automorphism, inverse,
-                             make_ad, make_out, named_automorphism, order)
+                             identity_automorphism, inverse, make_ad, make_out,
+                             named_automorphism, order)
 from gradelab.cyclo import CycloNumber, euler_phi, zeta
-from gradelab.gradings import mad_group_spec
+from gradelab.gradings import common_eigenspaces, mad_group_spec
 from gradelab.liealg import special_linear
 from gradelab.linalg import Matrix, as_cyclo
 
@@ -174,8 +174,8 @@ def test_key_equality_is_action_equality():
 
 def test_eigenspace_dimensions_sum():
     for name in ("AdP", "AdQ", "AdH", "OutI", "AdB1"):
-        spaces = eigenspaces(named_automorphism(name))
-        assert sum(s.dim for _, s in spaces) == 8, name
+        spaces = common_eigenspaces([named_automorphism(name)])
+        assert sum(spaces.part_dims) == 8, name
 
 
 def test_adp_adq_closure_is_the_pauli_group():

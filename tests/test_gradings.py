@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from gradelab import cli
-from gradelab.autgrp import (clock_matrix, make_ad, make_out, named_automorphism,
-                             shift_matrix)
+from gradelab import cli, cyclo
+from gradelab.autgrp import (InfiniteOrderError, clock_matrix, make_ad, make_out,
+                             named_automorphism, order, shift_matrix)
+from gradelab.cyclo import zeta
 from gradelab.gradings import (CATALOG_NAMES, AbelianGroup, Grading, catalog,
                                coarsen, common_eigenspaces, mad_group_spec,
                                search_labeling, verify_grading, verify_labeling)
@@ -92,6 +93,9 @@ def test_g1_search_finds_the_frozen_labeling():
     assert g.group.cyclic_orders == (3, 3)
     assert g.labels == ((0, 0), (0, 1), (1, 0), (1, 1),
                         (2, 2), (2, 0), (0, 2))
+    searched = search_labeling(Grading(g.algebra, g.parts), AbelianGroup((3, 3)))
+    assert tuple(map(tuple, searched)) == g.labels
+    assert verify_labeling(g, g.group, searched)
 
 
 def test_g1_also_admits_a_z7_labeling():
@@ -209,6 +213,51 @@ def test_mad_membership_g4():
 def test_common_eigenspaces_is_deterministic():
     gens = mad_group_spec("g2").separating_generators
     assert common_eigenspaces(gens) == common_eigenspaces(gens)
+
+
+def _intersected_eigenspaces(gens):
+    """The route `common_eigenspaces` replaced, as the reference: each
+    generator's eigenspaces, one kernel of action - lam per m-th root of
+    unity, refine the parts found so far by `Subspace.intersect`."""
+    dim = gens[0].algebra.dim
+    parts = [(Subspace.full(dim), ())]
+    for g in gens:
+        m = order(g)
+        spaces = [(zeta(m, k), (g.action - Matrix.identity(dim).scale(zeta(m, k))).kernel())
+                  for k in range(m)]
+        parts = [(space.intersect(eig), tag + (lam,))
+                 for space, tag in parts for lam, eig in spaces]
+        parts = [(space, tag) for space, tag in parts if space.dim]
+    parts.sort(key=lambda item: tuple(cyclo.sort_key(v) for v in item[1]))
+    return [space for space, _ in parts]
+
+
+_SL2_TORUS = (make_ad(Matrix.diagonal([1, zeta(4)])),)
+_REFERENCE_GENERATORS = (
+    [(name, mad_group_spec(name).separating_generators) for name in CATALOG_NAMES]
+    + [(name + " reversed", mad_group_spec(name).separating_generators[::-1])
+       for name in CATALOG_NAMES]
+    + [("sl2 torus", _SL2_TORUS)]
+    + [(name, (named_automorphism(name),))
+       for name in ("AdP", "AdQ", "AdH", "OutI", "AdB1")])
+
+
+@pytest.mark.parametrize("gens", [gens for _, gens in _REFERENCE_GENERATORS],
+                         ids=[name for name, _ in _REFERENCE_GENERATORS])
+def test_joint_kernels_equal_intersected_eigenspaces(gens):
+    parts = common_eigenspaces(gens).parts
+    reference = _intersected_eigenspaces(list(gens))
+    assert list(parts) == reference
+    assert [p.to_json() for p in parts] == [p.to_json() for p in reference]
+
+
+def test_common_eigenspaces_refuses_non_commuting_or_infinite_order_maps():
+    # AdP and AdQ commute (PQ is a multiple of QP); AdP and AdB2 do not
+    with pytest.raises(ValueError, match="do not commute"):
+        common_eigenspaces([named_automorphism("AdP"), named_automorphism("AdB2")])
+    # g1's probe Ad diag(1, 2, 4) has infinite order
+    with pytest.raises(InfiniteOrderError):
+        common_eigenspaces(mad_group_spec("g1").probes)
 
 
 def test_grading_json_round_trip():

@@ -125,3 +125,14 @@ def test_non_finite_numbers_are_malformed_input():
         rc, err = _run(argv, raw)
         assert rc == 2 and len(err.splitlines()) == 1, (raw, err)
         assert "OverflowError" in err, err
+
+
+def test_boolean_coordinates_are_malformed_input():
+    # a scalar reads true as 1, so g1 with its E12 line spelled
+    # [true, 0, ...] once verified as g1 itself
+    document = copy.deepcopy(GRADINGS[0])
+    document["parts"][1]["basis"][0] = [True] + [0] * 7
+    for argv in GRADING_COMMANDS:
+        rc, err = _run(argv, json.dumps(document).encode())
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith("error: malformed grading in '-': "), err
