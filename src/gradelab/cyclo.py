@@ -8,6 +8,13 @@ Representation is canonical: den > 0 and gcd(den, *nums) == 1, so a value is
 zero iff all numerators are zero (and then den == 1), and two values of the
 same order are equal iff their numerators and denominators are equal.
 `coeffs` gives the same coordinates as a tuple of Fractions.
+
+A product is one convolution of numerators and one fold modulo Phi_N through
+a table of the reductions of z^e built once per order (`_times`, `_fold`).
+Two private kernels build on it for the exact linear algebra: `_dot` sums
+many products over one denominator, and `_sub_mul` makes the row update
+v - f * w as one scalar.  Each reduces once, so its result is canonical and
+equal to the one the operators give step by step.
 """
 from __future__ import annotations
 
@@ -23,9 +30,10 @@ CANONICAL_CACHE_SIZE = 4096
 
 # largest order a scalar read from JSON may name (the catalog needs 4), alone
 # and in common with the other scalars of its document (`check_common_order`):
-# arithmetic grows with phi(order), and `grading verify` on the g4 grading with
-# one part scaled by a primitive 251st root of unity takes about 1 s of CPU
-# (3 s at 509)
+# arithmetic grows with phi(order).  `grading verify` on the g4 grading with
+# one part scaled by a primitive 255th root of unity (order 255, phi = 128)
+# takes about 0.4 s wall; scaled by a primitive 251st root, g4's Q(zeta_3)
+# entries meet it at order 753, which is refused.
 MAX_JSON_ORDER = 256
 
 
@@ -128,19 +136,56 @@ def _powers(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _fold_table(order: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(phi(order), rows): row e - phi is z^e modulo Phi_order for e from phi
+    up to both a product's last degree 2 phi - 2 and a full period order - 1."""
+    phi = euler_phi(order)
+    powers = _powers(order)
+    return phi, tuple([powers[e % order] for e in range(phi, max(order, 2 * phi - 1))])
+
+
 def _fold(terms: list[int], order: int) -> list[int]:
     """An integer polynomial (index = degree) modulo Phi_order, as phi(order) ints."""
-    phi = euler_phi(order)
-    if len(terms) <= phi:
-        return terms + [0] * (phi - len(terms))
-    powers = _powers(order)
+    phi, table = _fold_table(order)
+    n = len(terms)
+    if n <= phi:
+        return terms + [0] * (phi - n)
+    if n > phi + len(table):  # longer than the table: z^order = 1 first
+        wrapped = terms[:order]
+        for e in range(order, n):
+            wrapped[e % order] += terms[e]
+        terms, n = wrapped, order
     out = terms[:phi]
-    for e in range(phi, len(terms)):
+    e = phi
+    for row in table[:n - phi]:
         c = terms[e]
         if c:
-            for k, v in powers[e % order]:
+            for k, v in row:
                 out[k] += c * v
+        e += 1
     return out
+
+
+def _times(an: tuple, bn: tuple, order: int) -> list[int]:
+    """The numerators of the product of the values with numerators `an` and
+    `bn` at `order`, over the product of their denominators: one convolution,
+    which skips the zero numerators of the sparser factor, and one fold; not
+    in lowest terms."""
+    if len(an) == 1:  # a rational field: orders 1 and 2
+        return [an[0] * bn[0]]
+    if an.count(0) < bn.count(0):  # the sparser factor drives the outer loop
+        an, bn = bn, an
+    out = [0] * (2 * len(an) - 1)
+    i = 0
+    for x in an:
+        if x:
+            k = i
+            for y in bn:
+                out[k] += x * y
+                k += 1
+        i += 1
+    return _fold(out, order)
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -243,15 +288,10 @@ class CycloNumber:
         return _canonical_form(self.order, self.nums, self.den)[0]
 
     def _coerce(self, other):
-        if type(other) is CycloNumber:
-            if other.order == self.order:
-                return self, other
-        elif isinstance(other, CycloNumber):
-            pass
-        elif isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycloNumber):
+            if not isinstance(other, (int, Fraction)):
+                return None, None
             other = CycloNumber.from_rational(other)
-        else:
-            return None, None
         if self.order == other.order:
             return self, other
         m = lcm(self.order, other.order)
@@ -260,7 +300,8 @@ class CycloNumber:
     # --- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._coerce(other)
+        a, b = (self, other) if type(other) is CycloNumber and other.order == self.order \
+            else self._coerce(other)
         if a is None:
             return NotImplemented
         da, db = a.den, b.den
@@ -276,7 +317,8 @@ class CycloNumber:
         return _exact(self.order, tuple([-x for x in self.nums]), self.den)
 
     def __sub__(self, other):
-        a, b = self._coerce(other)
+        a, b = (self, other) if type(other) is CycloNumber and other.order == self.order \
+            else self._coerce(other)
         if a is None:
             return NotImplemented
         da, db = a.den, b.den
@@ -290,22 +332,16 @@ class CycloNumber:
         return -(self - other)
 
     def __mul__(self, other):
-        a, b = self._coerce(other)
+        a, b = (self, other) if type(other) is CycloNumber and other.order == self.order \
+            else self._coerce(other)
         if a is None:
             return NotImplemented
         an, bn = a.nums, b.nums
-        if len(an) == 1:  # a rational field: orders 1 and 2
+        if len(an) == 1:  # a rational field, as in `_times`, without its call
             return _lowest(a.order, [an[0] * bn[0]], a.den * b.den)
-        # Zero numerators are skipped: a truth test costs less than a product.
-        xs = [(i, x) for i, x in enumerate(an) if x]
-        ys = [(j, y) for j, y in enumerate(bn) if y]
-        if not xs or not ys:
+        if not any(an) or not any(bn):
             return _constant(0, a.order)
-        out = [0] * (2 * len(an) - 1)
-        for i, x in xs:
-            for j, y in ys:
-                out[i + j] += x * y
-        return _lowest(a.order, _fold(out, a.order), a.den * b.den)
+        return _lowest(a.order, _times(an, bn, a.order), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -468,6 +504,25 @@ def _fraction(a: int, den: int) -> tuple[int, int]:
     return a // g, den // g
 
 
+def _sub_mul(v: CycloNumber, f: CycloNumber, w: CycloNumber) -> CycloNumber:
+    """v - f * w for three scalars of one order, the update of an exact row.
+
+    One convolution and one fold give the product's numerators over
+    f.den * w.den; the two denominators are merged by gcd as `__add__`
+    merges two, and the difference is put in lowest terms once.  The result
+    is canonical, so it equals the two-operation `v - f * w`, without the
+    scalar that operation builds, reduces and coerces for the product.
+    """
+    order, vn, dv = v.order, v.nums, v.den
+    p = _times(f.nums, w.nums, order)
+    dp = f.den * w.den
+    if dv == dp:
+        return _lowest(order, [x - y for x, y in zip(vn, p)], dv)
+    g = gcd(dv, dp)
+    mv, mp = dp // g, dv // g
+    return _lowest(order, [x * mv - y * mp for x, y in zip(vn, p)], dv * mv)
+
+
 def _dot(order: int, pairs) -> CycloNumber:
     """The sum of a * b over `pairs`, each factor at `order` or rational.
 
@@ -478,10 +533,16 @@ def _dot(order: int, pairs) -> CycloNumber:
     denominators, merged by gcd as `__add__` merges two, and only the sum
     is folded and put in lowest terms: canonical, so equal to the value a
     product-by-product sum gives, at `order`.  Zero factors add nothing;
-    no pairs give the shared zero of `order`.
+    no pairs give the shared zero of `order`, and one pair of factors at
+    `order` is their product as `__mul__` makes it, which costs less to
+    set up.
     """
     if not pairs:
         return _constant(0, order)
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        if a.order == order == b.order:  # one product, at the cost of `__mul__`
+            return _lowest(order, _times(a.nums, b.nums, order), a.den * b.den)
     phi = euler_phi(order)
     acc = [0] * (2 * phi - 1)
     den = 1

@@ -9,9 +9,14 @@ accumulates the integer products of its pairs in one list over one common
 denominator and reduces once, where a product-by-product sum would make,
 fold and reduce a scalar per product and per addition.  Its factors are
 at the sum's order or rational, so `_at` embeds any other factor first.
-Elimination (`_echelon`, `det`) updates a row one scalar at a time and
-stays on scalar arithmetic: through the kernel, its row update made 8x8
-rref over Q(zeta_24) slower.
+Every exact row update, in elimination (`_echelon`, `det`), in
+`Subspace.contains` and in the sums of `Subspace.intersect`, replaces
+row[j] by row[j] - f * w for the nonzero entries w of a pivot or basis row
+(`_update`), each through the fused kernel `cyclo._sub_mul`: one product
+and one difference made and reduced as one scalar, all three at one order,
+so each caller embeds its rows once first.  (`cyclo._dot` is not that
+kernel: a row update has one product per entry, and through `_dot` it made
+8x8 rref over Q(zeta_24) slower.)
 Subspaces are stored as canonical reduced-row-echelon bases, so two
 equal subspaces always have identical basis tuples.
 """
@@ -20,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import CycloNumber, _dot, check_common_order, json_integer
+from .cyclo import CycloNumber, _dot, _sub_mul, check_common_order, json_integer
 
 
 def as_cyclo(value) -> CycloNumber:
@@ -189,12 +194,12 @@ class Matrix:
             if pivot != r:
                 work[r], work[pivot] = work[pivot], work[r]
             inv = work[r][col].inverse()
-            work[r] = [v if v.is_zero() else v * inv for v in work[r]]
+            pivot_row = work[r] = [v if v.is_zero() else v * inv for v in work[r]]
+            nonzero = [(j, w) for j, w in enumerate(pivot_row) if any(w.nums)]
             for i in range(rows):
-                if i != r and not work[i][col].is_zero():
-                    f = work[i][col]
-                    work[i] = [v if w.is_zero() else v - f * w
-                               for v, w in zip(work[i], work[r])]
+                f = work[i][col]
+                if i != r and any(f.nums):
+                    _update(work[i], f, nonzero)
             pivots.append(col)
             r += 1
             if r == rows:
@@ -222,11 +227,10 @@ class Matrix:
                 det = -det
             det = det * work[col][col]
             inv = work[col][col].inverse()
+            nonzero = [(j, w) for j, w in enumerate(work[col]) if any(w.nums)]
             for i in range(col + 1, self.rows):
                 if not work[i][col].is_zero():
-                    f = work[i][col] * inv
-                    work[i] = [v if w.is_zero() else v - f * w
-                               for v, w in zip(work[i], work[col])]
+                    _update(work[i], work[i][col] * inv, nonzero)
         return det
 
     def inverse(self) -> "Matrix":
@@ -311,6 +315,14 @@ def _at(order: int, x: CycloNumber) -> CycloNumber:
     return x if x.order == order or len(x.nums) == 1 else x.embed(order)
 
 
+def _update(row: list, f: CycloNumber, nonzero) -> None:
+    """row[j] -= f * w in place for the (j, w) of `nonzero`, the nonzero
+    entries of a pivot or basis row, each through the fused `cyclo._sub_mul`:
+    `row`, `f` and every w share one order."""
+    for j, w in nonzero:
+        row[j] = _sub_mul(row[j], f, w)
+
+
 def vec_is_zero(vector) -> bool:
     return all(v.is_zero() for v in vector)
 
@@ -364,11 +376,15 @@ class Subspace:
         vec = [as_cyclo(v) for v in vector]
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
+        # the vector is embedded once at the order of its sum with the basis
+        order = lcm(*{v.order for v in vec}, *{w.order for row in self.basis for w in row})
+        vec = [v if v.order == order else v.embed(order) for v in vec]
         for row in self.basis:
-            pivot_col = next(j for j, v in enumerate(row) if not v.is_zero())
-            c = vec[pivot_col]
-            if not c.is_zero():
-                vec = [v - c * w for v, w in zip(vec, row)]
+            nonzero = [(j, w if w.order == order else w.embed(order))
+                       for j, w in enumerate(row) if any(w.nums)]
+            c = vec[nonzero[0][0]]  # the coordinate at the row's pivot
+            if any(c.nums):
+                _update(vec, c, nonzero)
         return vec_is_zero(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -390,15 +406,18 @@ class Subspace:
         for i in range(self.ambient_dim):
             cols.append([self.basis[r][i] for r in range(p)] +
                         [-other.basis[r][i] for r in range(q)])
-        combos = Matrix.from_rows(cols).kernel()
+        glue = Matrix.from_rows(cols)
+        combos = glue.kernel()
+        # self's basis, embedded once at the order of the combinations
+        order = glue.order
+        rows = [[(j, w if w.order == order else w.embed(order))
+                 for j, w in enumerate(row) if any(w.nums)] for row in self.basis]
         vectors = []
-        zero = CycloNumber.zero()
         for combo in combos.basis:
-            vec = [zero] * self.ambient_dim
-            for r in range(p):
-                c = combo[r]
-                if not c.is_zero():
-                    vec = [v + c * w for v, w in zip(vec, self.basis[r])]
+            vec = [CycloNumber.zero(order)] * self.ambient_dim
+            for c, nonzero in zip(combo, rows):
+                if any(c.nums):
+                    _update(vec, -c, nonzero)
             vectors.append(vec)
         return Subspace.from_vectors(self.ambient_dim, vectors)
 

@@ -164,3 +164,19 @@ def test_bracket_is_the_plain_sum(n, orders):
         commutator = algebra.to_matrix(x) * algebra.to_matrix(y) - \
             algebra.to_matrix(y) * algebra.to_matrix(x)
         assert algebra.to_matrix(algebra.bracket_coords(x, y)) == commutator
+
+
+def test_dot_of_one_pair_is_the_product():
+    # both factors at the order: the product; a rational factor at order 1
+    # or 2 goes through the sum, and gives the same value at the order
+    for order in ORDERS:
+        for _ in range(20):
+            a, b = rand_scalar((order,)), rand_scalar((order,))
+            got, want = _dot(order, [(a, b)]), a * b
+            assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+            c = rand_scalar(tuple(o for o in (1, 2) if order % o == 0))
+            got, want = _dot(order, [(c, a)]), (c * a).embed(order)
+            assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+        zero = _dot(order, [(CycloNumber.zero(order), zeta(order))])
+        assert (zero.order, zero.nums, zero.den) == (order, (0,) * euler_phi(order), 1)
+
