@@ -63,9 +63,10 @@ def render_coords(coords, algebra) -> str:
 # what reading a bad JSON document raises: a ValueError (bytes that are not
 # UTF-8 or not JSON, a value unparsable or out of range, a non-integer where
 # an integer belongs), a missing key, a value of the wrong type, a zero
-# denominator, an infinite number (JSON's reader accepts Infinity)
+# denominator, an infinite number (JSON's reader accepts Infinity), nesting
+# deeper than the reader or a parser can recurse
 _MALFORMED = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError,
-              OverflowError)
+              OverflowError, RecursionError)
 
 # largest group order `grading label` accepts: the search lists every element
 MAX_LABEL_GROUP_ORDER = 1 << 16

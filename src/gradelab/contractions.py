@@ -13,6 +13,9 @@ So an `Equation` is always an equality chain; no other relation is
 generated.  Criterion 7 of `gradelab selfcheck` certifies that nothing is
 lost: on all four catalog gradings the sweep of the equations agrees with
 `sweep_oracle`, which reads only the Jacobi residuals, never the equations.
+Both sweep equality chains: the oracle reads each residual table as the
+chain of its nonzero terms, the one shape T1+T2+T3 = 0 leaves, and refuses
+a table of any other shape.
 
 The independent ground truth is `jacobi_oracle`, a direct Jacobi check on
 the contracted structure constants: the `liealg.StructureTable` of the
@@ -131,7 +134,8 @@ class _ComboTable:
 
     factor_vars holds three (u, v) pairs or None for a term whose T vector
     vanishes; allowed is an 8-bit mask over codes m1 | m2<<1 | m3<<2 of the
-    binary combinations with zero residual.
+    binary combinations with zero residual, which `_table_chain` reads as
+    an equality chain.
     """
 
     factor_vars: tuple
@@ -302,14 +306,20 @@ _LOW_PATTERNS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> pos & 1))
                       for pos in range(6))
 
 
-def _sweep(system: ContractionSystem, tables) -> np.ndarray:
-    """Sorted masks of the active assignments that no table forbids.
+def _sweep(system: ContractionSystem, chains, pin: int = 1) -> np.ndarray:
+    """Sorted masks of the active assignments on which every chain holds.
 
-    A table is a frozenset of products, each the frozenset of the variables
-    it ANDs (the empty product is the constant 1); it forbids an assignment
-    when an odd number of its products read 1.  Both routes sweep through
-    this one kernel: `sweep_equations` with one two-product table per link
-    of an equality chain, `sweep_oracle` with the compiled residual tables.
+    A chain is a sequence of monomials, (u, v) pairs standing for
+    eps_u * eps_v, that must all take one value.  Both routes sweep through
+    this one kernel: `sweep_equations` with the equations' chains,
+    `sweep_oracle` with the residual tables read as chains (`_table_chain`).
+    Each link of a chain, its first monomial against a further one, is
+    compiled here into the XOR {first} ^ {mono} of two products, each the
+    frozenset of the variables it ANDs: it forbids the assignments where
+    the two differ.  A variable outside the active set is pinned to `pin`,
+    so a product drops it (pin 1) or reads 0 (pin 0); a product left with no
+    variable is the constant 1.  Links that cancel (x ^ x = 0) force
+    nothing, and links that compile alike are swept once.
 
     Enumerates the 2^len(active) assignments bit-sliced, 64 to a uint64 word
     (assignment number 64*w + b is bit b of word w), 2^CHUNK_BITS
@@ -319,9 +329,9 @@ def _sweep(system: ContractionSystem, tables) -> np.ndarray:
     array of all-ones and all-zeros words, built once per sweep from one
     `np.arange` of a chunk's word places and shared by every chunk; a higher
     position is constant over a chunk, an np.uint64 scalar of all ones or
-    zero.  Per chunk, a table XORs its array products into a buffer and its
+    zero.  Per chunk, a link XORs its array products into a buffer and its
     scalar products into one scalar, which also takes the inversion of
-    ok &= ~forbidden: the table ends in one XOR and one AND over the chunk.
+    ok &= ~forbidden: the link ends in one XOR and one AND over the chunk.
     `ok` and the two buffers are made once per sweep, and every chunk is
     swept whole.  Only the words of `ok` with a bit left are unpacked into
     assignment numbers.  The kept masks carry their bits at the variable
@@ -332,6 +342,17 @@ def _sweep(system: ContractionSystem, tables) -> np.ndarray:
     n = len(active)
     if n > 30:
         raise ValueError(f"brute-force sweep over 2^{n} assignments refused")
+    active_set = frozenset(active)
+    links = {}  # insertion-ordered set of the compiled links
+    for chain in chains:
+        monos = [frozenset(mono) for mono in chain]
+        for mono in monos[1:]:
+            link = set()
+            for product in {monos[0]} ^ {mono}:
+                if pin or product <= active_set:
+                    link ^= {product & active_set}
+            if link:
+                links[frozenset(link)] = None
     keep = []
     total_words = 1 << max(n - 6, 0)
     # both counts are powers of two, so every chunk is whole and starts at a
@@ -352,7 +373,7 @@ def _sweep(system: ContractionSystem, tables) -> np.ndarray:
                 _ALL_ONES if start >> (pos - 6) & 1 else _NO_BITS
                 for pos, v in enumerate(active)}
         ok.fill(tail)
-        for products in tables:
+        for products in links:
             # the XOR of the array products, in `acc`, and of the scalar ones
             scalar, term = _NO_BITS, None
             for product in products:
@@ -410,67 +431,43 @@ def _and_columns(cols, variables, out):
 def sweep_equations(system: ContractionSystem) -> np.ndarray:
     """All assignments of the active variables satisfying every equation.
 
-    Enumerates 2^len(active) assignments by brute force (`_sweep`); returns
-    the sorted masks (bits positioned at the variable indices, free bits
-    zero).  Each link of an equality chain, its first monomial against a
-    further one, is the two-product table {first} ^ {mono}: it forbids the
-    assignments where the two differ.  A monomial linked to itself cancels
-    and forces nothing, and links that compile alike are swept once.
+    Enumerates 2^len(active) assignments by brute force, each equation's
+    equality chain compiled into links by `_sweep`; returns the sorted
+    masks (bits positioned at the variable indices, free bits zero).
     """
-    tables = {}  # insertion-ordered set of the compiled links
-    for eq in system.equations:
-        first, *rest = (frozenset(mono) for mono in eq.monomials)
-        for mono in rest:
-            tables[frozenset({first} ^ {mono})] = None
-    return _sweep(system, tables)
+    return _sweep(system, (eq.monomials for eq in system.equations))
 
 
-def _forbidden_products(factor_vars, allowed: int) -> frozenset:
-    """The forbidden codes of a residual table in algebraic normal form.
+def _table_chain(ct: _ComboTable) -> tuple:
+    """The non-void monomials of a residual table, as the equality chain
+    that its allowed codes are.
 
-    The codes outside `allowed` are a Boolean function of the three
-    monomials m1, m2, m3 (code m1 | m2<<1 | m3<<2); its Moebius transform
-    writes it as the XOR of products of monomials.  A product with a void
-    term reads 0 and is dropped.  A product is returned as the frozenset of
-    the variables it ANDs, so a repeated factor counts once (x*x = x), and
-    two products on the same variables cancel (x ^ x = 0); the empty
-    product is the constant 1.
+    As T1 + T2 + T3 = 0, the nonzero T vectors that a code picks sum to zero
+    iff it picks all of them or none: one alone is nonzero, and two of three
+    sum to minus the third.  So a table allows exactly the codes on which
+    its non-void monomials all agree.  That reading is checked, not
+    assumed: a one-line ValueError names a table whose `allowed` differs.
     """
-    coeff = [~allowed >> code & 1 for code in range(8)]
-    for slot in range(3):
-        for code in range(8):
-            if code >> slot & 1:
-                coeff[code] ^= coeff[code ^ 1 << slot]
-    products = set()
-    for code in range(8):
-        slots = [slot for slot in range(3) if code >> slot & 1]
-        if coeff[code] and all(factor_vars[slot] is not None for slot in slots):
-            products ^= {frozenset(v for slot in slots for v in factor_vars[slot])}
-    return frozenset(products)
+    on = sum(1 << slot for slot, mono in enumerate(ct.factor_vars) if mono is not None)
+    agree = sum(1 << code for code in range(8) if code & on in (0, on))
+    if ct.allowed != agree:
+        raise ValueError(f"residual table {ct.factor_vars} allows codes "
+                         f"{ct.allowed:#010b}, not its equality chain's {agree:#010b}")
+    return tuple(mono for mono in ct.factor_vars if mono is not None)
 
 
 def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
     """All active assignments passing the per-triple residual tables.
 
     Independent route: uses only exact residual evaluations of the Jacobi
-    T vectors, never the generated equations.  Each table's forbidden codes
-    are compiled once into XOR form (`_forbidden_products`); variables
-    outside the active set are pinned to `pin` there, so a product drops
-    them (pin 1) or vanishes (pin 0), and tables that compile alike are
-    swept once, by the same kernel as the equations (`_sweep`).
-    Pinned-variable irrelevance is a structural fact (their blocks bracket
-    to zero) asserted in the test suite.
+    T vectors, never the generated equations.  Each table is read as the
+    equality chain of its non-void monomials (`_table_chain`, which refuses
+    a table of any other shape) and swept by the same kernel as the
+    equations (`_sweep`), the variables outside the active set pinned to
+    `pin`.  Pinned-variable irrelevance is a structural fact (their blocks
+    bracket to zero) asserted in the test suite.
     """
-    active = frozenset(system.active)
-    tables = {}  # insertion-ordered set of the compiled tables
-    for ct in system._combo_tables:
-        products = set()
-        for product in _forbidden_products(ct.factor_vars, ct.allowed):
-            if pin or product <= active:
-                products ^= {product & active}
-        if products:
-            tables[frozenset(products)] = None
-    return _sweep(system, tables)
+    return _sweep(system, map(_table_chain, system._combo_tables), pin)
 
 
 # --- level-by-level search over the equality chains ---------------------------

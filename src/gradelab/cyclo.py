@@ -403,6 +403,12 @@ class CycloNumber:
     # --- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is CycloNumber and other.order != self.order \
+                and lcm(self.order, other.order) > MAX_JSON_ORDER:
+            # embedding both at a large common order (255 and 249 meet at
+            # 21165) costs far more than the canonical forms `__hash__` reads
+            return (_canonical_form(self.order, self.nums, self.den)
+                    == _canonical_form(other.order, other.nums, other.den))
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented

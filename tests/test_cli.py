@@ -7,6 +7,7 @@ import pytest
 
 from gradelab import cli, liealg, selfcheck
 from gradelab.autgrp import NAMED_AUTOMORPHISMS, named_automorphism
+from gradelab.cyclo import CycloNumber, zeta
 from gradelab.gradings import catalog
 
 
@@ -272,6 +273,13 @@ NON_INTEGERS = {
 # orders 255 and 256 each pass, but their arithmetic embeds both at order
 # 65280: a file holding the two ran past an 8 s timeout before the common-order bound
 MIXED_ORDERS = "scalar order 256 raises the common order of the document's scalars to 65280"
+# nesting past the recursion limit once ended in a RecursionError traceback
+# with exit code 1, the code of a negative verdict: 200,000 brackets read as
+# a grading or an automorphism, and a grading whose parts nest 5,000 deep
+DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
+DEEP = {"deep-grading": (DEEP_ARRAY, "RecursionError: "),
+        "deep-automorphism": (DEEP_ARRAY, "RecursionError: "),
+        "deep-parts": ('{"n": 3, "parts": ' + "[" * 5000 + "]" * 5000 + "}", "")}
 
 
 @pytest.mark.parametrize("case", ["unknown-automorphism", "missing-file",
@@ -280,7 +288,7 @@ MIXED_ORDERS = "scalar order 256 raises the common order of the document's scala
                                   "bad-json-automorphism", "not-utf8",
                                   *SCALAR_REFUSALS, "mixed-orders",
                                   "mixed-orders-automorphism", "utf16-automorphism",
-                                  *NON_INTEGERS])
+                                  *NON_INTEGERS, *DEEP])
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
     scalar, refusal = SCALAR_REFUSALS.get(case, (None, MIXED_ORDERS if "mixed" in case else ""))
     if case == "labels-without-group":
@@ -318,6 +326,10 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
     # a UTF-16 automorphism file was once read, while a UTF-16 grading was refused
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes(json.dumps(named_automorphism("AdS").to_json()).encode("utf-16"))
+    deep = tmp_path / "deep.json"
+    if case in DEEP:
+        text, refusal = DEEP[case]
+        deep.write_text(text)
     non_integer = tmp_path / "non_integer.json"
     if case in NON_INTEGERS:
         path, value, refusal = NON_INTEGERS[case]
@@ -350,6 +362,9 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, case):
                                       "--auto", str(mixed_rep)],
         "utf16-automorphism": ["normalizer", "check", "--catalog", "g4",
                                "--auto", str(utf16)],
+        "deep-grading": ["grading", "verify", "--input", str(deep)],
+        "deep-automorphism": ["normalizer", "check", "--catalog", "g4", "--auto", str(deep)],
+        "deep-parts": ["grading", "verify", "--input", str(deep)],
         **{name: ["normalizer", "check", "--catalog", "g4", "--auto", str(non_integer)]
            if path[0] == "rep" else ["grading", "verify", "--input", str(non_integer)]
            for name, (path, _, _) in NON_INTEGERS.items()},
@@ -373,6 +388,23 @@ def test_singular_or_wrongly_sized_automorphism_is_malformed_input(capsys, tmp_p
             err = assert_one_line_usage_error(
                 capsys, ["normalizer", sub, "--catalog", "g4", "--auto", str(path)])
             assert err == f"error: malformed automorphism in {str(path)!r}: {reason}\n"
+
+
+def test_scaled_g4_at_and_past_the_order_bound(capsys, tmp_path):
+    # README's bound example: g4 with part 0 scaled by a primitive 255th root
+    # of unity (its scalars meet at order 255) verifies; scaled by a primitive
+    # 251st root, g4's Q(zeta_3) entries meet it at order 753, above the bound
+    for k in (255, 251):
+        doc = catalog("g4").grading.to_json()
+        part = doc["parts"][0]
+        part["basis"] = [[(CycloNumber.from_json(x) * zeta(k)).to_json() for x in row]
+                         for row in part["basis"]]
+        (tmp_path / f"g4_z{k}.json").write_text(json.dumps(doc))
+    rc, report = run_json(capsys, "grading", "verify", "--input", str(tmp_path / "g4_z255.json"))
+    assert rc == 0 and report["is_grading"] is True
+    err = assert_one_line_usage_error(
+        capsys, ["grading", "verify", "--input", str(tmp_path / "g4_z251.json")])
+    assert "order 753" in err
 
 
 def test_unknown_catalog_is_rejected(capsys):

@@ -8,8 +8,7 @@ import pytest
 from gradelab import contractions, selfcheck
 from gradelab.contractions import (ContractionSystem, Equation, NodeCapExceeded,
                                    SolutionSet, _ComboTable, _adapted_basis,
-                                   _forbidden_products,
-                                   _symmetries, _uncontracted_adapted,
+                                   _symmetries, _table_chain, _uncontracted_adapted,
                                    apply_variable_permutation,
                                    burnside_orbit_count, contracted_structure, generate_equations,
                                    is_invariant, jacobi_oracle, pair_key,
@@ -142,12 +141,20 @@ def test_oracle_sweep_agrees_and_ignores_free_pins():
         assert np.array_equal(pinned_1, sweep_equations(s)), name
 
 
+def _equality_codes(factor_vars) -> int:
+    """The codes m1 | m2<<1 | m3<<2 on which the non-void slots all read alike."""
+    slots = [slot for slot, mono in enumerate(factor_vars) if mono is not None]
+    return sum(1 << code for code in range(8)
+               if len({code >> slot & 1 for slot in slots}) <= 1)
+
+
 def _small_system(n_active, seed):
     """A hand-built system over n_active + 2 variables, two of them inactive.
 
     Each active variable occurs in an equality chain of one or two
-    monomials, and the oracle tables mix active and inactive factors with a
-    void term.
+    monomials, and the oracle tables, each shaped as the residual tables
+    are (every non-void term on, or every one off), mix active and inactive
+    factors with a void term.
     """
     pick = random.Random(seed)
     active = sorted(pick.sample(range(n_active + 2), n_active))
@@ -161,13 +168,12 @@ def _small_system(n_active, seed):
                           triple=(), pivot_coords=(), rank=0)
                  for v in active]
     everyone = active + inactive
-    tables = [_ComboTable(factor_vars=(
-                  mono(*pick.choices(everyone, k=2)),
-                  None if k == 0 else mono(pick.choice(inactive), pick.choice(everyone)),
-                  mono(*pick.choices(everyone, k=2))),
-                  allowed=pick.getrandbits(8) | pick.getrandbits(8) | 1)
-              for k in range(3)]
-    tables.append(_ComboTable(factor_vars=(None, None, None), allowed=0xFF))
+    layouts = [(mono(*pick.choices(everyone, k=2)),
+                None if k == 0 else mono(pick.choice(inactive), pick.choice(everyone)),
+                mono(*pick.choices(everyone, k=2)))
+               for k in range(3)] + [(None, None, None)]
+    tables = [_ComboTable(factor_vars=layout, allowed=_equality_codes(layout))
+              for layout in layouts]
     variables = [(v, v) for v in range(n_active + 2)]
     s = ContractionSystem(None, variables, equations, tuple(tables))
     assert list(s.active) == active
@@ -269,47 +275,53 @@ def test_each_sweep_route_reads_only_its_own_input():
                                   apply_variable_permutation(every, s.active)), case
 
 
-def _anf_over_variables(variables, forbidden):
-    """The unique XOR-of-ANDs form of `forbidden(value)` over `variables`,
-    by the Moebius transform of its truth table."""
-    coeff = [int(forbidden(dict(zip(variables, (bits >> i & 1 for i in range(len(variables)))))))
-             for bits in range(1 << len(variables))]
-    for i in range(len(variables)):
-        for bits in range(len(coeff)):
-            if bits >> i & 1:
-                coeff[bits] ^= coeff[bits ^ 1 << i]
-    return {frozenset(v for i, v in enumerate(variables) if bits >> i & 1)
-            for bits, c in enumerate(coeff) if c}
+def test_every_residual_table_is_an_equality_chain():
+    # since T1 + T2 + T3 = 0, a table allows exactly the codes on which its
+    # non-void terms agree; (void, two-term, three-term) tables per grading
+    expected = {"g1": (18, 24, 14), "g2": (10, 6, 40),
+                "g3": (19, 25, 12), "g4": (8, 48, 0)}
+    for name, counts in expected.items():
+        shapes = [0, 0, 0, 0]
+        for ct in system(name)._combo_tables:
+            non_void = tuple(mono for mono in ct.factor_vars if mono is not None)
+            shapes[len(non_void)] += 1
+            assert ct.allowed == _equality_codes(ct.factor_vars), (name, ct)
+            assert _table_chain(ct) == non_void, (name, ct)
+        assert shapes[1] == 0 and tuple(shapes[i] for i in (0, 2, 3)) == counts, name
 
 
-def test_xor_form_of_a_residual_table_matches_its_truth_table():
-    layouts = [((0, 1), (2, 3), (4, 5)),     # three independent monomials: all 8 codes occur
-               (None, (2, 3), (4, 5)), ((0, 1), None, (4, 5)), ((0, 1), (2, 3), None),
-               ((0, 1), (0, 1), (2, 3)),     # a repeated monomial
-               ((0, 0), (0, 1), (1, 1)),     # monomials sharing a factor
-               (None, None, None)]
-    for factor_vars in layouts:
-        variables = sorted({v for mono in factor_vars if mono for v in mono})
-        for allowed in range(256):
-            def forbidden(value):
-                code = sum((value[mono[0]] & value[mono[1]]) << slot
-                           for slot, mono in enumerate(factor_vars) if mono is not None)
-                return not allowed >> code & 1
+def _with_table_bit_flipped(s, index, bit):
+    tables = list(s._combo_tables)
+    ct = tables[index]
+    tables[index] = _ComboTable(factor_vars=ct.factor_vars, allowed=ct.allowed ^ 1 << bit)
+    return ContractionSystem(s.grading, s.variables, s.equations, tuple(tables))
 
-            products = _forbidden_products(factor_vars, allowed)
-            assert products == _anf_over_variables(variables, forbidden), (factor_vars, allowed)
-            for bits in itertools.product((0, 1), repeat=len(variables)):
-                value = dict(zip(variables, bits))
-                reads = sum(all(value[v] for v in product) for product in products) % 2
-                assert reads == forbidden(value), (factor_vars, allowed, value)
-    # m1 = m2 = m3 with m1 = m2 = x0*x1: the forbidden codes are m1 != m3, so
-    # m1 ^ m2 cancels (x ^ x = 0), m1*m2 is x0*x1 (x*x = x) and
-    # m1*m3 ^ m2*m3 cancels, leaving x0*x1 ^ x2*x3
-    assert _forbidden_products(((0, 1), (0, 1), (2, 3)), 0b1000_0001) == \
-        {frozenset({0, 1}), frozenset({2, 3})}
-    # a table that forbids nothing, or only codes a void term cannot reach
-    assert _forbidden_products(((0, 1), (2, 3), (4, 5)), 0xFF) == frozenset()
-    assert _forbidden_products((None, (2, 3), (4, 5)), 0x55) == frozenset()
+
+def test_a_table_that_is_not_an_equality_chain_is_refused():
+    # one g4 table (two terms, one void) and one three-term g1 table: every
+    # one-bit change of its allowed codes leaves the chain shape
+    cases = []
+    for name, terms in (("g4", 2), ("g1", 3)):
+        s = system(name)
+        index = next(i for i, ct in enumerate(s._combo_tables)
+                     if sum(mono is not None for mono in ct.factor_vars) == terms)
+        cases.append((name, s, index))
+    for name, s, index in cases:
+        for bit in range(8):
+            broken = _with_table_bit_flipped(s, index, bit)
+            for pin in (0, 1):
+                with pytest.raises(ValueError, match="^residual table ") as exc:
+                    sweep_oracle(broken, pin=pin)
+                assert "\n" not in str(exc.value), (name, bit)
+                assert str(s._combo_tables[index].factor_vars) in str(exc.value)
+    # criterion 7 reports the refusal as its one-line failure, not as a traceback
+    _, s, index = cases[1]
+    broken = _with_table_bit_flipped(s, index, 0)
+    bench = selfcheck._Workbench()
+    bench.system = lambda name: broken
+    result = selfcheck.run_check(7, bench)
+    assert not result.passed
+    assert result.detail.startswith("g1: residual table ") and "\n" not in result.detail
 
 
 def test_variable_permutation_matches_a_per_bit_reference():

@@ -1,11 +1,12 @@
 """Exact cyclotomic arithmetic: axioms, canonicalization, embeddings."""
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from gradelab.cyclo import (CycloNumber, cyclotomic_polynomial, euler_phi,
-                            sort_key, zeta)
+from gradelab.cyclo import (MAX_JSON_ORDER, CycloNumber, cyclotomic_polynomial,
+                            euler_phi, sort_key, zeta)
 
 rng = random.Random(91101)
 
@@ -111,6 +112,34 @@ def test_cross_order_equality_and_hash():
     one_at_12 = CycloNumber.one(12)
     assert one_at_12 == CycloNumber.one(1)
     assert hash(one_at_12) == hash(CycloNumber.one(1))
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (5, 8), (255, 249)])
+def test_mixed_order_equality_agrees_with_the_reduced_values(m, n):
+    # (255, 249) meet at order 21165, above MAX_JSON_ORDER, where equality
+    # compares canonical forms instead of embedding both values there
+    pick = random.Random(m * 1000 + n)
+    common = gcd(m, n)
+
+    def draw(order):
+        x = CycloNumber.zero(order)
+        for _ in range(4):
+            x = x + zeta(order, pick.randrange(euler_phi(order))) * \
+                Fraction(pick.randint(-5, 5), pick.randint(1, 4))
+        return x
+
+    for _ in range(6):
+        shared = draw(common)
+        pairs = [(shared.embed(m), shared.embed(n), True),
+                 (shared.embed(m), shared.embed(n) + zeta(n), False),
+                 (draw(m), draw(n), None)]
+        for a, b, equal in pairs:
+            ra, rb = a.reduced(), b.reduced()
+            same = (ra.order, ra.nums, ra.den) == (rb.order, rb.nums, rb.den)
+            assert equal is None or same == equal
+            assert (a == b) == (b == a) == same, (m, n, a, b)
+            if lcm(m, n) <= MAX_JSON_ORDER:
+                assert (a == b) == (a - b).is_zero()
 
 
 def test_rational_values_descend_to_conductor_one():

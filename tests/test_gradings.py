@@ -1,6 +1,7 @@
 """Fine gradings of sl(3,C): catalog construction, verification, labeling."""
 import itertools
 import json
+import time
 
 import pytest
 
@@ -70,6 +71,23 @@ def test_catalog_gradings_verify():
         cert = verify_grading(catalog(name).grading)
         assert cert.ok, name
         assert cert.violation is None
+
+
+def test_verifying_gradings_equal_at_unnested_orders_stays_fast():
+    # g4 with part 0 scaled by a primitive 255th root, then by an 83rd: the
+    # parts are equal, so the second call's cache lookup compares RREF rows
+    # at orders 255 and 249, which once embedded both at order 21165 (39 s)
+    g = catalog("g4").grading
+
+    def scaled(k):
+        rows = [[x * zeta(k) for x in row] for row in g.parts[0].basis]
+        parts = (Subspace.from_vectors(8, rows),) + g.parts[1:]
+        return Grading(g.algebra, parts, g.group, g.labels)
+
+    start = time.perf_counter()
+    for k in (255, 83):
+        assert verify_grading(scaled(k)).ok, k
+    assert time.perf_counter() - start < 5
 
 
 def test_verify_rejects_a_corrupted_decomposition():
