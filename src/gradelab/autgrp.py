@@ -29,11 +29,19 @@ by expanding the definitions; the tests check each rule against products and
 inverses of the actions.)
 
 Each automorphism also carries its inverse transpose rep^(-T), computed on
-first use and kept, so a generator or group element composed again and again
-is inverted once.  inverse(f) eliminates nothing once f carries it, and hands
-it over: the inverse of an inner f has representative (rep_f^(-T))^T and
-carries rep_f^T; the inverse of an outer f has representative rep_f^T and
-carries (rep_f^(-T))^T.  The action reads rep^-1 as (rep^(-T))^T as well.
+first use and kept.  Only an automorphism built from a bare representative
+(a named one, one read from JSON, a `make_ad` or `make_out` result, a spec
+element) eliminates, once.  A composition records its two factors instead,
+and its inverse transpose is one 3x3 product of what they carry:
+  rep_g^(-T) * rep_f^(-T)  when g is inner,
+  rep_g^(-T) * rep_f       when g is outer,
+the inverse transpose of the rules above.  The factors are dropped once the
+product exists, and the rule is evaluated with an explicit stack, so a word
+of any length is resolved without recursion.  inverse(f) eliminates nothing
+once f carries its inverse transpose, and hands it over: the inverse of an
+inner f has representative (rep_f^(-T))^T and carries rep_f^T; the inverse
+of an outer f has representative rep_f^T and carries (rep_f^(-T))^T.  The
+action reads rep^-1 as (rep^(-T))^T as well.
 """
 from __future__ import annotations
 
@@ -49,7 +57,7 @@ CLOSURE_CAP = 10000  # most elements that a closure (`_bfs`) may hold
 
 
 class Automorphism:
-    __slots__ = ("algebra", "kind", "rep", "_action", "_inv_t", "_key")
+    __slots__ = ("algebra", "kind", "rep", "_action", "_inv_t", "_factors", "_key")
 
     def __init__(self, algebra: LieAlgebra, kind: str, rep: Matrix):
         if kind not in (INNER, OUTER):
@@ -61,6 +69,7 @@ class Automorphism:
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "_action", None)
         object.__setattr__(self, "_inv_t", None)
+        object.__setattr__(self, "_factors", None)
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -74,9 +83,10 @@ class Automorphism:
         return self._action
 
     def _inverse_transpose(self) -> Matrix:
-        """rep^(-T), computed on first use and kept."""
+        """rep^(-T), computed on first use and kept: the product of what a
+        composition's factors carry, or else the inverse of rep^T."""
         if self._inv_t is None:
-            object.__setattr__(self, "_inv_t", self.rep.transpose().inverse())
+            _resolve_inverse_transposes(self)
         return self._inv_t
 
     @property
@@ -195,7 +205,37 @@ def compose(f: Automorphism, g: Automorphism) -> Automorphism:
     else:
         rep = g.rep * f._inverse_transpose()
     kind = INNER if f.kind == g.kind else OUTER
-    return Automorphism(f.algebra, kind, rep)
+    h = Automorphism(f.algebra, kind, rep)
+    object.__setattr__(h, "_factors", (f, g))
+    return h
+
+
+def _resolve_inverse_transposes(h: Automorphism) -> None:
+    """Give h its rep^(-T), and every factor of h's word that it needs.
+
+    A depth-first walk over an explicit stack: a composition waits until
+    the factors its rule reads carry theirs, then takes one product and
+    drops its factors; an automorphism without factors is eliminated.
+    """
+    stack = [h]
+    while stack:
+        h = stack[-1]
+        if h._inv_t is not None:
+            stack.pop()
+            continue
+        if h._factors is None:
+            inv_t = h.rep.transpose().inverse()
+        else:
+            f, g = h._factors  # h = compose(f, g); an outer g made f carry its own
+            inner = g.kind == INNER
+            pending = [x for x in ((g, f) if inner else (g,)) if x._inv_t is None]
+            if pending:
+                stack += pending
+                continue
+            inv_t = g._inv_t * (f._inv_t if inner else f.rep)
+            object.__setattr__(h, "_factors", None)
+        object.__setattr__(h, "_inv_t", inv_t)
+        stack.pop()
 
 
 def inverse(f: Automorphism) -> Automorphism:
@@ -236,6 +276,22 @@ class ClosureCapExceeded(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"group closure exceeded cap of {cap} elements")
         self.cap = cap
+
+
+NODE_CAP_ENV = "GRADELAB_NODE_CAP"
+
+
+class NodeCapExceeded(RuntimeError):
+    """`contractions.solve_binary` passed its node budget.  Kept here, in a
+    module without numpy, so the CLI can catch it without importing numpy."""
+
+    def __init__(self, cap: int, nodes: int, solutions_so_far: int):
+        super().__init__(
+            f"solver exceeded the node cap of {cap} ({NODE_CAP_ENV}) at {nodes} nodes; "
+            f"{solutions_so_far} solutions found before stopping")
+        self.cap = cap
+        self.nodes = nodes
+        self.solutions_so_far = solutions_so_far
 
 
 def _bfs(start, generators, step, key, audit=None) -> dict:

@@ -12,9 +12,10 @@ import json
 import math
 import sys
 
-from . import contractions as con
-from . import selfcheck
-from .autgrp import INNER, NAMED_AUTOMORPHISMS, Automorphism, named_automorphism
+# contractions and selfcheck import numpy, so only the subcommands that use
+# them import them: every other subcommand runs without numpy
+from .autgrp import (INNER, NAMED_AUTOMORPHISMS, Automorphism, NodeCapExceeded,
+                     named_automorphism)
 from .gradings import (AbelianGroup, Grading, catalog, coarsen, format_label,
                        search_labeling, verify_grading, verify_labeling,
                        CATALOG_NAMES)
@@ -333,6 +334,7 @@ def cmd_normalizer_linearize(args) -> int:
 # --- contract subcommands -------------------------------------------------------
 
 def cmd_contract_equations(args) -> int:
+    from . import contractions as con
     g = catalog(args.catalog).grading
     system = con.generate_equations(g)
     lines = [f"contraction system for {args.catalog}: "
@@ -353,11 +355,13 @@ def cmd_contract_equations(args) -> int:
 
 
 def _mask_to_pair_map(system, mask: int) -> dict:
+    from . import contractions as con
     return {con.format_pair(p): bit
             for p, bit in system.mask_to_assignment(mask).items()}
 
 
 def cmd_contract_solve(args) -> int:
+    from . import contractions as con
     if args.limit < 0:
         raise ValueError(f"--limit must be 0 (all) or a positive count, not {args.limit}")
     g = catalog(args.catalog).grading
@@ -416,6 +420,7 @@ def cmd_contract_solve(args) -> int:
 
 
 def _format_mask(system, mask: int) -> str:
+    from . import contractions as con
     on = [con.format_pair(p) for i, p in enumerate(system.variables)
           if (mask >> i) & 1]
     return "{" + ", ".join(on) + "}" if on else "{}"
@@ -424,6 +429,7 @@ def _format_mask(system, mask: int) -> str:
 # --- selfcheck -------------------------------------------------------------------
 
 def cmd_selfcheck(args) -> int:
+    from . import selfcheck
     numbers = None
     if args.only is not None:
         try:
@@ -529,7 +535,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, con.NodeCapExceeded) as exc:
+    except (ValueError, NodeCapExceeded) as exc:
         # a bad value from outside (an option, a file, GRADELAB_NODE_CAP), or
         # a solve past that node budget, is a usage error, not a negative verdict
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,12 @@ a matrix-vector product, is one call of the integer kernel `cyclo._dot`: it
 accumulates the integer products of its pairs in one list over one common
 denominator and reduces once, where a product-by-product sum would make,
 fold and reduce a scalar per product and per addition.  Its factors are
-at the sum's order or rational, so `_at` embeds any other factor first.
+at the sum's order or rational, so `_at` embeds any other factor first,
+and a matrix product embeds a factor only if its order is neither the
+product's nor 1 or 2.  A matrix product pays for nonzero entries only: it
+lists each column's nonzero entries once and pairs each row with those
+alone, so a monomial times a monomial makes one one-pair `_dot` per
+nonzero entry of the result and none for a zero entry.
 Every exact row update, in elimination (`_echelon`, `det`), in
 `Subspace.contains` and in the sums of `Subspace.intersect`, replaces
 row[j] by row[j] - f * w for the nonzero entries w of a pivot or basis row
@@ -115,22 +120,26 @@ class Matrix:
             raise ValueError("shape mismatch in product")
         order = lcm(self.order, other.order)
         left, right = self.entries, other.entries
-        if self.order != order:
+        # a factor of order 1 or 2 is rational, which `_dot` reads unembedded
+        if self.order not in (1, 2, order):
             left = [e.embed(order) for e in left]
-        if other.order != order:
+        if other.order not in (1, 2, order):
             right = [e.embed(order) for e in right]
         n, m = self.cols, other.cols
-        # each column of `other`, its zero entries as None, built once
-        columns = [[b if any(b.nums) else None for b in right[j::m]] for j in range(m)]
+        # the nonzero (k, entry) of each column of `other`, built once
+        columns = [[] for _ in range(m)]
+        for index, b in enumerate(right):
+            if any(b.nums):
+                columns[index % m].append((index // m, b))
         zero = CycloNumber.zero(order)
         out = []
         for i in range(0, self.rows * n, n):
-            terms = [(k, a) for k, a in enumerate(left[i:i + n]) if any(a.nums)]
-            if not terms:
-                out += [zero] * m
-                continue
+            row = left[i:i + n]
             for column in columns:
-                pairs = [(a, b) for k, a in terms if (b := column[k]) is not None]
+                pairs = []
+                for k, b in column:
+                    if any((a := row[k]).nums):
+                        pairs.append((a, b))
                 out.append(_dot(order, pairs) if pairs else zero)
         return _exact(self.rows, m, tuple(out), order)
 

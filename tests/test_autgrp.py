@@ -1,6 +1,7 @@
 """Automorphisms of sl(3): composition algebra, eigenspaces, closures."""
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -246,3 +247,44 @@ def test_outer_product_actions_match_the_products():
                     got, want = _action_matrix(f), product_built_action(f)
                     assert got.to_json() == want.to_json()
                     assert got.order == want.order
+
+
+LETTERS = [named_automorphism(name) for name in sorted(NAMED_AUTOMORPHISMS)]
+LETTERS += [inverse(f) for f in LETTERS]
+
+
+def test_words_carry_their_inverse_transposes_without_elimination(monkeypatch):
+    # a composition's rep^(-T) is the product of what its factors carry: once
+    # the letters carry theirs, no word over them eliminates again, and the
+    # carried matrix equals the eliminated one in entries and order
+    word_rng = random.Random(90321)
+    assert {f.kind for f in LETTERS} == {"inner", "outer"}
+    for f in LETTERS:
+        f._inverse_transpose()
+    eliminated, matrix_inverse = [], Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse",
+                        lambda a: eliminated.append(a) or matrix_inverse(a))
+    for length in range(1, 25):
+        word = word_rng.choice(LETTERS)
+        for _ in range(length - 1):
+            letter = word_rng.choice(LETTERS)
+            word = compose(letter, word) if word_rng.random() < 0.5 else compose(word, letter)
+        inv_t, inv = word._inverse_transpose(), inverse(word)
+        assert eliminated == [], length
+        assert word._factors is None  # dropped once the product exists
+        expected = matrix_inverse(word.rep.transpose())
+        assert inv_t.to_json() == expected.to_json() and inv_t.order == expected.order
+        assert compose(inv, word).is_identity()
+
+
+def test_a_long_word_inverts_without_recursion():
+    # 5,000 letters composed on the left: resolving the word's rep^(-T)
+    # walks the whole chain of factors, on an explicit stack
+    word_rng = random.Random(90322)
+    word = identity_automorphism()
+    for _ in range(5000):
+        word = compose(word_rng.choice(LETTERS), word)
+    start = time.perf_counter()
+    inv = inverse(word)
+    assert time.perf_counter() - start < 1.0
+    assert compose(inv, word).is_identity()

@@ -1,6 +1,9 @@
 """End-to-end command line coverage, run in process via cli.main."""
 import io
 import json
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -491,3 +494,14 @@ def test_algebra_above_the_size_cap_is_a_one_line_usage_error(capsys, tmp_path):
                  ["normalizer", "check", "--catalog", "g4", "--auto", str(automorphism)]):
         err = assert_one_line_usage_error(capsys, argv)
         assert repr(argv[-1]) in err and "sl(40)" in err
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    # only `contract` and `selfcheck` import numpy, inside their commands;
+    # a fresh process, since this one has imported it already
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, gradelab.cli; print('numpy' in sys.modules)"],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"

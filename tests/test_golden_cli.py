@@ -9,8 +9,13 @@ selfcheck row and tests/test_acceptance.py share one selfcheck run; the 29
 invocations take about 25 s, selfcheck about 5 s of them.
 """
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+from gradelab import cli
 
 # (argv without --format json, exit code, sha256 of stdout)
 GOLDEN = [
@@ -81,3 +86,25 @@ def test_json_stdout_matches_golden_digest(run_cli, argv, code, digest):
     rc, out = run_cli(f"{argv} --format json")
     assert rc == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+NUMPY_BLOCKED = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from gradelab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", ["grading show --catalog g4",
+                                  "normalizer quotient --catalog g4"])
+def test_subcommand_prints_its_golden_bytes_without_numpy(argv):
+    # only `contract` and `selfcheck` need numpy; a fresh process, since
+    # this one has imported it already
+    code, digest = {row[0]: row[1:] for row in GOLDEN}[argv]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED, *argv.split(),
+                           "--format", "json"], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True)
+    assert done.returncode == code, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == digest

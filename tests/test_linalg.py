@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from gradelab import linalg
 from gradelab.autgrp import make_ad
 from gradelab.cyclo import CycloNumber, euler_phi, zeta
 from gradelab.linalg import Matrix, Subspace, as_cyclo, vec_is_zero
@@ -116,6 +117,53 @@ def test_one_pass_products_and_inverses_match_the_constructor():
         inv = a.inverse()
         assert_same_matrix(inv, reference_inverse(a))
         assert a * inv == Matrix.identity(n)
+
+
+def embed_first_product(a, b):
+    """Both factors embedded at the product's order first, then summed
+    product by product."""
+    order = lcm(a.order, b.order)
+    a = Matrix(a.rows, a.cols, [e.embed(order) for e in a.entries])
+    b = Matrix(b.rows, b.cols, [e.embed(order) for e in b.entries])
+    zero = CycloNumber.zero(order)
+    return Matrix(a.rows, b.cols, [sum((a[i, k] * b[k, j] for k in range(a.cols)), zero)
+                                   for i in range(a.rows) for j in range(b.cols)])
+
+
+def test_rational_factors_multiply_unembedded():
+    # a factor of order 1 or 2 is read by `_dot` as it is; the product must
+    # still equal the embed-first one, its order the lcm of the factors'
+    for rational in ((1,), (2,), (1, 2)):
+        for other in ((3,), (4,), (8,), (1, 3, 4, 8)):
+            for _ in range(3):
+                a = rand_cyclo_matrix(3, 3, rational, density=0.7)
+                b = rand_cyclo_matrix(3, 3, other, density=0.7)
+                assert_same_matrix(a * b, embed_first_product(a, b))
+                assert_same_matrix(b * a, embed_first_product(b, a))
+    two = Matrix.diagonal([CycloNumber.from_rational(-1, 2)] * 3)
+    assert (two * Matrix.diagonal([1, 1, zeta(3)])).order == 6
+
+
+def test_monomial_products_pay_for_nonzero_entries_only(monkeypatch):
+    # a monomial 3x3 product has one nonzero entry per row and column, and
+    # each takes one `_dot` of one pair; a zero entry takes none
+    calls = []
+    dot = linalg._dot
+    monkeypatch.setattr(linalg, "_dot", lambda order, pairs: calls.append(pairs) or
+                        dot(order, pairs))
+    w = zeta(3)
+    shift = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    swap = Matrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    for a, b in ((shift, Matrix.diagonal([1, w, w * w])),
+                 (Matrix.diagonal([zeta(4), 2, -1]), swap * shift),
+                 (shift * Matrix.diagonal([zeta(8), w, 1]), swap)):
+        for left, right in ((a, b), (b, a)):
+            calls.clear()
+            product = left * right
+            nonzero = sum(not e.is_zero() for e in product.entries)
+            assert nonzero == 3 and len(calls) == nonzero
+            assert all(len(pairs) == 1 for pairs in calls)
+            assert_same_matrix(product, embed_first_product(left, right))
 
 
 def test_det_multiplicative():

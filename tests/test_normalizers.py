@@ -353,16 +353,18 @@ print(len(states), len(calls))
 
 
 def test_g4_closure_inverts_each_representative_once():
-    # automorphisms carry their inverse transposes, so a generator or spec
-    # element composed again and again is inverted once.  A fresh process,
-    # because the cached spec elements keep what earlier tests computed.
+    # automorphisms carry their inverse transposes, and a composition's is
+    # the product of its factors', so the closure eliminates only the
+    # representatives that are not compositions: the three generators and
+    # the identity it starts from.  A fresh process, because the cached spec
+    # elements keep what earlier tests computed.
     src = os.path.dirname(os.path.dirname(autgrp.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", G4_CLOSURE_INVERSES], env=env,
                          capture_output=True, text=True, check=True).stdout
     states, inverses = map(int, out.split())
     assert states == 48
-    assert inverses <= 62
+    assert inverses == 4
 
 
 def test_closure_cap_is_enforced(monkeypatch):
