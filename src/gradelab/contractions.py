@@ -278,8 +278,7 @@ def contracted_structure(g: Grading, eps: dict) -> StructureTable:
         raise ValueError("grading must be labeled to contract it")
     part_of, table = _uncontracted_adapted(g)
     label_of = [g.labels[part] for part in part_of]
-    return StructureTable(table.dim, {(i, j): entry for (i, j), entry in table.upper.items()
-                                      if eps[pair_key(label_of[i], label_of[j])]})
+    return table._restricted(lambda i, j: eps[pair_key(label_of[i], label_of[j])])
 
 
 def jacobi_oracle(candidate: StructureTable) -> bool:
@@ -312,32 +311,24 @@ def _sweep(system: ContractionSystem, chains, pin: int = 1) -> np.ndarray:
     """Sorted masks of the active assignments on which every chain holds.
 
     A chain is a sequence of monomials, (u, v) pairs standing for
-    eps_u * eps_v, that must all take one value.  Both routes sweep through
-    this one kernel: `sweep_equations` with the equations' chains,
-    `sweep_oracle` with the residual tables read as chains (`_table_chain`).
-    Each link of a chain, its first monomial against a further one, is
-    compiled here into the XOR {first} ^ {mono} of two products, each the
-    frozenset of the variables it ANDs: it forbids the assignments where
-    the two differ.  A variable outside the active set is pinned to `pin`,
-    so a product drops it (pin 1) or reads 0 (pin 0); a product left with no
-    variable is the constant 1.  Links that cancel (x ^ x = 0) force
-    nothing, and links that compile alike are swept once.
+    eps_u * eps_v, that must all take one value: the equations' chains
+    (`sweep_equations`) or the residual tables' (`sweep_oracle`).  Each
+    link, a chain's first monomial against a further one, compiles to the
+    XOR {first} ^ {mono} of two products, each the frozenset of the
+    variables it ANDs: it forbids the assignments where the two differ.  A
+    variable outside the active set is pinned to `pin`, so a product drops
+    it (pin 1) or reads 0 (pin 0); a product left with no variable is the
+    constant 1.  Links that cancel force nothing, and equal ones are swept once.
 
-    Enumerates the 2^len(active) assignments bit-sliced, 64 to a uint64 word
-    (assignment number 64*w + b is bit b of word w), 2^CHUNK_BITS
-    assignments at a time.  Active position pos reads bit pos - 6 of the
-    word index, so its word column is of one of three kinds: pos < 6 is a
-    fixed 64-bit pattern; a position whose bit varies within a chunk is an
-    array of all-ones and all-zeros words, built once per sweep from one
-    `np.arange` of a chunk's word places and shared by every chunk; a higher
-    position is constant over a chunk, an np.uint64 scalar of all ones or
-    zero.  Per chunk, a link XORs its array products into a buffer and its
-    scalar products into one scalar, which also takes the inversion of
-    ok &= ~forbidden: the link ends in one XOR and one AND over the chunk.
-    `ok` and the two buffers are made once per sweep, and every chunk is
-    swept whole.  Only the words of `ok` with a bit left are unpacked into
-    assignment numbers.  The kept masks carry their bits at the variable
-    indices, free bits zero.
+    The 2^len(active) assignments are swept bit-sliced, 64 to a uint64 word
+    (assignment 64*w + b is bit b of word w), 2^CHUNK_BITS at a time.  Active
+    position pos < 6 reads a fixed 64-bit pattern; the next `varying` read
+    arrays of all-ones and zero words, one per sweep; a higher one is an
+    np.uint64 scalar, constant over a chunk.  The inner links, reading only
+    the first two kinds, are ANDed once per sweep into `base`, and each chunk
+    starts from `base` and ANDs in the other links: every assignment meets
+    every link.  Only the words with a bit left are unpacked; the kept masks
+    carry their bits at the variable indices, free bits zero.
     """
     _require_mask_width(system)
     active = system.active
@@ -363,34 +354,26 @@ def _sweep(system: ContractionSystem, chains, pin: int = 1) -> np.ndarray:
     chunk_words = min(1 << max(CHUNK_BITS - 6, 0), total_words)
     varying = chunk_words.bit_length() - 1
     places = np.arange(chunk_words, dtype=np.uint64)
-    varying_cols = [_NO_BITS - ((places >> np.uint64(b)) & np.uint64(1))
-                    for b in range(varying)]
+    cols = {v: _LOW_PATTERNS[pos] if pos < 6 else
+            _NO_BITS - ((places >> np.uint64(pos - 6)) & np.uint64(1))
+            for pos, v in enumerate(active[:6 + varying])}
+    inner = frozenset(cols)
+    base, ok, acc, spare = (np.empty(chunk_words, dtype=np.uint64) for _ in range(4))
     # with fewer than six variables, one word holds every assignment and its
     # high bits stand for none
-    tail = _ALL_ONES if n >= 6 else np.uint64((1 << (1 << n)) - 1)
-    ok, acc, spare = (np.empty(chunk_words, dtype=np.uint64) for _ in range(3))
+    base.fill(_ALL_ONES if n >= 6 else np.uint64((1 << (1 << n)) - 1))
+    outer = []
+    for link in links:
+        if all(product <= inner for product in link):
+            _forbid(base, link, cols, acc, spare)
+        else:
+            outer.append(link)
     for start in range(0, total_words, chunk_words):
-        cols = {v: _LOW_PATTERNS[pos] if pos < 6 else
-                varying_cols[pos - 6] if pos - 6 < varying else
-                _ALL_ONES if start >> (pos - 6) & 1 else _NO_BITS
-                for pos, v in enumerate(active)}
-        ok.fill(tail)
-        for products in links:
-            # the XOR of the array products, in `acc`, and of the scalar ones
-            scalar, term = _NO_BITS, None
-            for product in products:
-                value = _and_columns(cols, product, acc if term is None else spare)
-                if not isinstance(value, np.ndarray):
-                    scalar ^= value
-                elif term is None:
-                    term = value
-                else:
-                    term = np.bitwise_xor(term, value, out=acc)
-            # ok &= ~(term ^ scalar), as ok &= term ^ ~scalar
-            if term is not None:
-                np.bitwise_and(ok, np.bitwise_xor(term, ~scalar, out=acc), out=ok)
-            elif scalar:
-                np.bitwise_and(ok, ~scalar, out=ok)
+        cols.update((v, _ALL_ONES if start >> pos & 1 else _NO_BITS)
+                    for pos, v in enumerate(active[6 + varying:], varying))
+        np.copyto(ok, base)
+        for link in outer:
+            _forbid(ok, link, cols, acc, spare)
         hit = np.flatnonzero(ok)
         bits = np.flatnonzero(np.unpackbits(
             ok[hit].astype("<u8", copy=False).view(np.uint8), bitorder="little"))
@@ -404,6 +387,25 @@ def _sweep(system: ContractionSystem, chains, pin: int = 1) -> np.ndarray:
     del keep
     # `active` is increasing, so the scatter keeps the masks sorted
     return apply_variable_permutation(masks, active)
+
+
+def _forbid(ok, link, cols, acc, spare) -> None:
+    """ok &= ~(the XOR of the link's products), in the buffers acc and spare."""
+    # the XOR of the array products, in `acc`, and of the scalar ones
+    scalar, term = _NO_BITS, None
+    for product in link:
+        value = _and_columns(cols, product, acc if term is None else spare)
+        if not isinstance(value, np.ndarray):
+            scalar ^= value
+        elif term is None:
+            term = value
+        else:
+            term = np.bitwise_xor(term, value, out=acc)
+    # ok &= ~(term ^ scalar), as ok &= term ^ ~scalar
+    if term is not None:
+        np.bitwise_and(ok, np.bitwise_xor(term, ~scalar, out=acc), out=ok)
+    elif scalar:
+        np.bitwise_and(ok, ~scalar, out=ok)
 
 
 def _and_columns(cols, variables, out):
@@ -469,6 +471,8 @@ def sweep_oracle(system: ContractionSystem, pin: int = 1) -> np.ndarray:
     `pin`.  Pinned-variable irrelevance is a structural fact (their blocks
     bracket to zero) asserted in the test suite.
     """
+    if type(pin) is not int or pin not in (0, 1):
+        raise ValueError(f"pin must be the int 0 or 1, not {pin!r}")
     return _sweep(system, map(_table_chain, system._combo_tables), pin)
 
 

@@ -55,6 +55,13 @@ class StructureTable:
     def __call__(self, i: int, j: int) -> SparseVec:
         return self._entries.get((i, j), {})
 
+    def _restricted(self, keep) -> "StructureTable":
+        """The brackets [b_i, b_j] with keep(i, j), symmetric, sharing these entries."""
+        table = object.__new__(StructureTable)
+        object.__setattr__(table, "dim", self.dim)
+        object.__setattr__(table, "_entries", {ij: e for ij, e in self._entries.items() if keep(*ij)})
+        return table
+
     @property
     def upper(self) -> dict:
         """The nonzero brackets [b_i, b_j] with i < j."""

@@ -1,6 +1,7 @@
 """Graded contraction systems: generation, solving, symmetry reduction."""
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -252,6 +253,90 @@ def test_sweeps_in_chunks_of_one_and_two_words_match_the_default(monkeypatch, ch
     assert np.array_equal(default[0][2], default[0][0])
 
 
+def _link_evaluations(monkeypatch, sweep, s, **kwargs):
+    """The sweep's masks, and how often it ANDed each compiled link into a buffer."""
+    counts = Counter()
+    forbid = contractions._forbid
+
+    def counting(ok, link, *buffers):
+        counts[link] += 1
+        forbid(ok, link, *buffers)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(contractions, "_forbid", counting)
+        return sweep(s, **kwargs), counts
+
+
+def _chunk_invariant(s, link, chunk_bits):
+    """Whether a link reads only the positions below 6 + varying, those that
+    take the same columns in every chunk; and the number of chunks."""
+    n = len(s.active)
+    in_chunk = max(min(chunk_bits, n), 6)
+    position = {v: pos for pos, v in enumerate(s.active)}
+    inner = all(position[v] < in_chunk for product in link for v in product)
+    return inner, 1 << max(n - in_chunk, 0)
+
+
+_ROUTES = [(sweep_equations, {}), (sweep_oracle, {"pin": 0}), (sweep_oracle, {"pin": 1})]
+
+
+def test_g4_sweeps_evaluate_each_chunk_invariant_link_once(monkeypatch):
+    # g4 sweeps 2^24 assignments in 16 chunks of 2^20; 24 of its 48 links
+    # read only active positions 0..19, whose columns are the same in every
+    # chunk, so each is evaluated once per sweep, the other 24 once per chunk
+    s = system("g4")
+    for sweep, kwargs in _ROUTES:
+        masks, counts = _link_evaluations(monkeypatch, sweep, s, **kwargs)
+        assert np.array_equal(masks, solutions("g4").active_masks), kwargs
+        assert sorted(Counter(counts.values()).items()) == [(1, 24), (16, 24)], kwargs
+        for link, evaluations in counts.items():
+            inner, chunks = _chunk_invariant(s, link, contractions.CHUNK_BITS)
+            assert chunks == 16 and evaluations == (1 if inner else 16), (kwargs, link)
+
+
+@pytest.mark.parametrize("chunk_bits", [6, 8, 20])
+def test_sweeps_match_brute_force_whatever_links_are_chunk_invariant(monkeypatch, chunk_bits):
+    # at 6 and 8 chunk bits the 9 and 12 active variables span 2 to 64
+    # chunks, so no link, some or all read only in-chunk positions; at 20 one
+    # chunk holds every assignment and every link is chunk-invariant.  Two
+    # tables are added: one whose first monomial pins to the constant 1 at
+    # pin 1 (a link {{}, {top}}, or {{top}} at pin 0) and one whose two
+    # monomials both pin away, a link that cancels
+    monkeypatch.setattr(contractions, "CHUNK_BITS", chunk_bits)
+    splits = {route: set() for route in range(len(_ROUTES))}
+    for n_active, seed in itertools.product((9, 12), range(4)):
+        s = _small_system(n_active, seed)
+        i0, i1 = (v for v in range(s.num_variables) if v not in s.active)
+        top = s.active[-1]
+        extra = [((i0, i1), None, (top, top)), ((i0, i0), (i0, i1), None)]
+        s = ContractionSystem(None, s.variables, s.equations, s._combo_tables + tuple(
+            _ComboTable(factor_vars=layout, allowed=_equality_codes(layout)) for layout in extra))
+        _assert_sweeps_match_brute_force(s, (n_active, seed))
+        for route, (sweep, kwargs) in enumerate(_ROUTES):
+            _, counts = _link_evaluations(monkeypatch, sweep, s, **kwargs)
+            kinds = set()
+            for link, evaluations in counts.items():
+                inner, chunks = _chunk_invariant(s, link, chunk_bits)
+                assert evaluations == (1 if inner else chunks), (n_active, seed, kwargs, link)
+                kinds.add(inner)
+            splits[route].add(frozenset(kinds))
+            if kwargs:  # the first added table's link, (i0, i1) pinned to 1 or 0
+                pinned = {frozenset(), frozenset({top})} if kwargs["pin"] else {frozenset({top})}
+                assert frozenset(pinned) in counts, (n_active, seed, kwargs)
+    expected = {frozenset({True})} if chunk_bits == 20 else {frozenset({False}),
+                                                             frozenset({False, True})}
+    for route, seen in splits.items():
+        assert expected <= seen, (route, seen)
+
+
+def test_oracle_pin_is_the_int_0_or_1():
+    s = system("g1")
+    for pin in (2, -1, True, False, 1.0, None, "1", np.int64(1)):
+        with pytest.raises(ValueError, match="^pin must be the int 0 or 1, not ") as exc:
+            sweep_oracle(s, pin=pin)
+        assert "\n" not in str(exc.value), pin
+
+
 def test_each_sweep_route_reads_only_its_own_input():
     # the equation sweep never reads the residual tables, nor the oracle the
     # equations; a self-link ((v, v), (v, v)) forces nothing, so over the
@@ -390,6 +475,23 @@ def test_contracted_structure_keeps_the_blocks_switched_on():
         kept = contracted_structure(grading, s.mask_to_assignment(mask))
         assert kept.upper == {ij: entry for ij, entry in table.upper.items()
                               if bit[pair_key(labels[ij[0]], labels[ij[1]])]}, name
+
+
+def test_contracted_structure_shares_the_uncontracted_entries():
+    # both orientations of a kept block are the uncontracted table's own
+    # entries, not negated again; a dropped one reads as a zero bracket
+    for name in ("g1", "g4"):
+        grading, s = catalog(name).grading, system(name)
+        part_of, table = _uncontracted_adapted(grading)
+        labels = [grading.labels[part] for part in part_of]
+        mask = random.Random(name).getrandbits(s.num_variables)
+        eps = s.mask_to_assignment(mask)
+        kept = contracted_structure(grading, eps)
+        for i, j in itertools.permutations(range(grading.algebra.dim), 2):
+            if eps[pair_key(labels[i], labels[j])] and table(i, j):
+                assert kept(i, j) is table(i, j), (name, i, j)
+            else:
+                assert kept(i, j) == {}, (name, i, j)
 
 
 def test_trivial_grading_has_one_free_variable():
