@@ -420,9 +420,7 @@ def cmd_contract_solve(args) -> int:
 
 
 def _format_mask(system, mask: int) -> str:
-    from . import contractions as con
-    on = [con.format_pair(p) for i, p in enumerate(system.variables)
-          if (mask >> i) & 1]
+    on = [pair for pair, bit in _mask_to_pair_map(system, mask).items() if bit]
     return "{" + ", ".join(on) + "}" if on else "{}"
 
 

@@ -9,9 +9,15 @@ bound.  The published 18 for the orthogonal grading is a recorded erratum:
 the computed quotient has order 24, equal to the bound, and contains an
 element of order 4, which rules 18 out by Lagrange.  All nine criteria must
 pass.  Two more tests check that the nine are registered under their titles
-and that a criterion whose check fails reports its detail line.
+and that a criterion whose check fails reports its detail line, and one runs
+README's library example as printed.
 """
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -85,3 +91,13 @@ def test_a_failing_criterion_reports_its_detail(monkeypatch):
     assert (result.number, result.title, result.passed, result.detail) == (
         3, "MAD-group cardinalities", False,
         "closure of {AdP, AdQ} has 8 elements, expected 9")
+
+
+def test_readme_library_example_prints_the_line_its_comment_names():
+    # cut from README.md and run as printed, in a fresh process
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    src = os.path.dirname(os.path.dirname(selfcheck.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "48 27787264 188\n"

@@ -11,7 +11,7 @@ import pytest
 from gradelab import cli, liealg, selfcheck
 from gradelab.autgrp import NAMED_AUTOMORPHISMS, named_automorphism
 from gradelab.cyclo import CycloNumber, zeta
-from gradelab.gradings import catalog
+from gradelab.gradings import CATALOG_NAMES, catalog
 
 
 def run(capsys, *argv):
@@ -31,16 +31,17 @@ def feed_stdin(monkeypatch, text: str):
 
 
 def test_show_then_verify_round_trip(capsys, monkeypatch):
-    rc, out = run(capsys, "grading", "show", "--catalog", "g1",
-                  "--format", "json")
-    assert rc == 0
-    feed_stdin(monkeypatch, out)
-    rc, report = run_json(capsys, "grading", "verify", "--input", "-")
-    assert rc == 0
-    assert report["is_grading"] is True
-    assert report["labels_additive"] is True
-    assert report["dims"] == [2, 1, 1, 1, 1, 1, 1]
-    assert "input_sha256" in report
+    for name in CATALOG_NAMES:
+        rc, out = run(capsys, "grading", "show", "--catalog", name,
+                      "--format", "json")
+        assert rc == 0
+        feed_stdin(monkeypatch, out)
+        rc, report = run_json(capsys, "grading", "verify", "--input", "-")
+        assert rc == 0, name
+        assert report["is_grading"] is True
+        assert report["labels_additive"] is True
+        assert report["dims"] == list(catalog(name).grading.part_dims)
+        assert "input_sha256" in report
 
 
 def test_show_human_output(capsys):
@@ -118,6 +119,12 @@ def test_normalizer_check_verdicts(capsys):
                           "--auto", "AdH")
     assert rc == 1
     assert report["normalizes"] is False
+    # `normalizes` conjugates only the separating generators of a finite MAD
+    # group: both verdicts hold on g2 and g4, as exit codes with an empty stderr
+    for name, auto, code in (("g2", "AdQ", 0), ("g4", "AdS", 0),
+                             ("g2", "AdS", 1), ("g4", "AdH", 1)):
+        assert cli.main(["normalizer", "check", "--catalog", name, "--auto", auto]) == code
+        assert capsys.readouterr().err == "", (name, auto)
 
 
 def test_quotient_human_summary(capsys):
@@ -437,7 +444,11 @@ def test_argparse_usage_errors_are_one_line(capsys, argv, err):
     assert captured.err.startswith(err)
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["contract", "solve", "--help"]])
+# the root and all 11 subcommands
+@pytest.mark.parametrize("argv", [[*command.split(), "--help"] for command in (
+    "", "contract solve", "contract equations", "grading show", "grading verify",
+    "grading label", "grading coarsen", "normalizer check", "normalizer quotient",
+    "normalizer inner", "normalizer linearize", "selfcheck")])
 def test_help_is_still_a_usage_block_on_stdout(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -465,6 +476,10 @@ def test_solve_past_the_node_cap_is_a_one_line_usage_error(capsys, monkeypatch):
                  ["selfcheck", "--only", "7", "--format", "json"]):
         err = assert_one_line_usage_error(capsys, argv)
         assert err.startswith("error: solver exceeded the node cap of 5 (GRADELAB_NODE_CAP)")
+    # g4's search tree has 32729 nodes: one less stops it
+    monkeypatch.setenv("GRADELAB_NODE_CAP", "32728")
+    err = assert_one_line_usage_error(capsys, ["contract", "solve", "--catalog", "g4"])
+    assert err.startswith("error: solver exceeded the node cap of 32728 (GRADELAB_NODE_CAP)")
 
 
 def test_bad_only_value_is_a_one_line_usage_error(capsys):
