@@ -199,30 +199,30 @@ def jacobi_table_holds(table: StructureTable) -> bool:
     """Exhaustive Jacobi check of a bracket table.
 
     Checks [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j] = 0 over all
-    i<j<k (triples with a repeated index vanish by antisymmetry).
+    i<j<k (triples with a repeated index vanish by antisymmetry), and stops
+    at the first triple that fails.  Coordinate n of a triple's residual is
+    the sum of c * d over the entries c of [b_i, b_j] at b_m and d of
+    [b_m, b_k] at b_n, and likewise for the other two double brackets: one
+    `cyclo._dot` decides whether it is zero, at the least common multiple of
+    the entries' orders above 2 (an entry at order 1 or 2 is rational and
+    needs no embedding).  Each entry is made a factor at that order
+    (`linalg._at`) once per call.
     """
+    entries = table._entries
+    order = lcm(1, *{c.order for entry in entries.values() for c in entry.values()
+                     if c.order > 2})
+    factors = {ij: [(k, _at(order, c)) for k, c in entry.items()]
+               for ij, entry in entries.items()}
     dim = table.dim
-    def double(first: SparseVec, outer: int) -> SparseVec:
-        acc: dict[int, CycloNumber] = {}
-        for m, c in first.items():
-            inner = table(m, outer)
-            for k, d in inner.items():
-                cur = acc.get(k)
-                val = c * d if cur is None else cur + c * d
-                acc[k] = val
-        return acc
-
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                total: dict[int, CycloNumber] = {}
-                for part in (double(table(i, j), k),
-                             double(table(j, k), i),
-                             double(table(k, i), j)):
-                    for m, c in part.items():
-                        cur = total.get(m)
-                        total[m] = c if cur is None else cur + c
-                if any(not c.is_zero() for c in total.values()):
+                terms: dict[int, list] = {}
+                for first, outer in (((i, j), k), ((j, k), i), ((k, i), j)):
+                    for m, c in factors.get(first, ()):
+                        for n, d in factors.get((m, outer), ()):
+                            terms.setdefault(n, []).append((c, d))
+                if any(not _dot(order, pairs).is_zero() for pairs in terms.values()):
                     return False
     return True
 

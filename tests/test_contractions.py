@@ -123,8 +123,9 @@ def test_sweeps_refuse_more_than_30_active_variables():
     wide = ContractionSystem(None, [(i, i) for i in range(31)], [chain], ())
     assert len(wide.active) == 31
     for sweep in (sweep_equations, sweep_oracle):
-        with pytest.raises(ValueError, match="2\\^31"):
-            sweep(wide)
+        for _ in range(2):  # refused on every call, never read from a kept sweep
+            with pytest.raises(ValueError, match="2\\^31"):
+                sweep(wide)
     # criterion 7 reports the refusal as its failure, not as a traceback
     bench = selfcheck._Workbench()
     bench.system = lambda name: wide
@@ -199,6 +200,7 @@ def _assert_sweeps_match_brute_force(s, case):
         return True
 
     by_equations = _brute_force(s, equations_hold)
+    contractions._swept.cache_clear()  # every sweep below a cold one, at this chunk size
     assert np.array_equal(sweep_equations(s), by_equations), case
     assert np.array_equal(solve_binary(s).active_masks, by_equations), case
     for pin in (0, 1):
@@ -212,6 +214,7 @@ def _assert_sweeps_match_brute_force(s, case):
                     return False
             return True
 
+        contractions._swept.cache_clear()
         assert np.array_equal(sweep_oracle(s, pin=pin),
                               _brute_force(s, tables_hold)), (case, pin)
 
@@ -245,16 +248,21 @@ def test_sweeps_in_chunks_of_one_and_two_words_match_the_default(monkeypatch, ch
     for s, (by_equations, pinned_0, pinned_1) in zip(cases, default):
         solved = solve_binary(s).active_masks
         assert np.array_equal(by_equations, solved)
+        # each re-chunked sweep a cold one, not the kept default-size result
+        contractions._swept.cache_clear()
         assert np.array_equal(sweep_equations(s), solved)
+        contractions._swept.cache_clear()
         assert np.array_equal(sweep_oracle(s, pin=0), pinned_0)
+        contractions._swept.cache_clear()
         assert np.array_equal(sweep_oracle(s, pin=1), pinned_1)
     # on g1 the residual tables and the equations have the same solutions
     assert np.array_equal(default[0][1], default[0][0])
     assert np.array_equal(default[0][2], default[0][0])
 
 
-def _link_evaluations(monkeypatch, sweep, s, **kwargs):
-    """The sweep's masks, and how often it ANDed each compiled link into a buffer."""
+def _link_evaluations(monkeypatch, run):
+    """What `run()` returns, and how often the sweeps it makes ANDed each
+    compiled link into a buffer, the kept sweep dropped first."""
     counts = Counter()
     forbid = contractions._forbid
 
@@ -262,9 +270,10 @@ def _link_evaluations(monkeypatch, sweep, s, **kwargs):
         counts[link] += 1
         forbid(ok, link, *buffers)
 
+    contractions._swept.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(contractions, "_forbid", counting)
-        return sweep(s, **kwargs), counts
+        return run(), counts
 
 
 def _chunk_invariant(s, link, chunk_bits):
@@ -286,12 +295,92 @@ def test_g4_sweeps_evaluate_each_chunk_invariant_link_once(monkeypatch):
     # chunk, so each is evaluated once per sweep, the other 24 once per chunk
     s = system("g4")
     for sweep, kwargs in _ROUTES:
-        masks, counts = _link_evaluations(monkeypatch, sweep, s, **kwargs)
+        masks, counts = _link_evaluations(monkeypatch, lambda: sweep(s, **kwargs))
         assert np.array_equal(masks, solutions("g4").active_masks), kwargs
         assert sorted(Counter(counts.values()).items()) == [(1, 24), (16, 24)], kwargs
         for link, evaluations in counts.items():
             inner, chunks = _chunk_invariant(s, link, contractions.CHUNK_BITS)
             assert chunks == 16 and evaluations == (1 if inner else 16), (kwargs, link)
+
+
+def test_g4_routes_share_one_sweep(monkeypatch):
+    # on g4 the equations and the tables at either pin compile to the same 48
+    # links, so the three routes together evaluate each link as often as one
+    # sweep does, and all three read the one read-only array it made
+    s = system("g4")
+    arrays, counts = _link_evaluations(
+        monkeypatch, lambda: [sweep(s, **kwargs) for sweep, kwargs in _ROUTES])
+    assert sorted(Counter(counts.values()).items()) == [(1, 24), (16, 24)]
+    for masks in arrays:
+        assert np.array_equal(masks, solutions("g4").active_masks)
+        assert not masks.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][0] = 0
+
+
+def _bitset_brute_force(s, constraints):
+    """The masks of the active assignments that every constraint allows, by
+    Python-int bitsets over all 2^n of them: bit x of a set is assignment x,
+    whose active variable at position p reads bit p of x.  A constraint is a
+    (monomials, allowed) pair; a monomial None reads 0, and `allowed` has bit
+    `code` set for each code sum(value of monomial t << t) that it allows."""
+    size = 1 << len(s.active)
+    full = (1 << size) - 1
+    column = {}
+    for p, v in enumerate(s.active):
+        bits, width = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
+        while width < size:
+            bits |= bits << width
+            width *= 2
+        column[v] = bits
+    ok = full
+    for monomials, allowed in constraints:
+        values = [0 if mono is None else column[mono[0]] & column[mono[1]]
+                  for mono in monomials]
+        for code in range(1 << len(values)):
+            if not allowed >> code & 1:
+                hit = full
+                for t, value in enumerate(values):
+                    hit &= value if code >> t & 1 else full ^ value
+                ok &= full ^ hit
+    x = np.flatnonzero(np.unpackbits(np.frombuffer(ok.to_bytes(size // 8, "little"), np.uint8),
+                                     bitorder="little"))
+    masks = np.zeros(x.size, dtype=np.uint64)
+    for p, v in enumerate(s.active):
+        masks |= ((x >> p) & 1).astype(np.uint64) << np.uint64(v)
+    return masks
+
+
+def test_a_kept_sweep_answers_only_for_the_same_links():
+    # g2's tables compile to other links than its equations, so the oracle is
+    # swept again after the equations, and its second pin reads that sweep
+    contractions._swept.cache_clear()
+    s = system("g2")
+    by_equations = sweep_equations(s)
+    pinned_1, pinned_0 = sweep_oracle(s, pin=1), sweep_oracle(s, pin=0)
+    assert contractions._swept.cache_info()[:2] == (1, 2)  # (hits, misses)
+    assert pinned_0 is pinned_1 and np.array_equal(pinned_1, by_equations)
+    # g4 with one equation or one table chain dropped is another constraint:
+    # swept again, after g4 itself, and equal to brute force over 2^24.
+    # Equation 7 and table 7 are the first whose drop lets more through.
+    g4 = system("g4")
+    fewer_equations = ContractionSystem(g4.grading, g4.variables,
+                                        g4.equations[:7] + g4.equations[8:], g4._combo_tables)
+    fewer_tables = ContractionSystem(g4.grading, g4.variables, g4.equations,
+                                     g4._combo_tables[:7] + g4._combo_tables[8:])
+    cases = [(sweep_equations, {}, fewer_equations,
+              [(eq.monomials, 1 | 1 << (1 << len(eq.monomials)) - 1)  # all off or all on
+               for eq in fewer_equations.equations]),
+             (sweep_oracle, {"pin": 1}, fewer_tables,
+              [(ct.factor_vars, ct.allowed) for ct in fewer_tables._combo_tables])]
+    for sweep, kwargs, dropped, constraints in cases:
+        whole = sweep(g4, **kwargs)
+        misses = contractions._swept.cache_info().misses
+        masks = sweep(dropped, **kwargs)
+        assert contractions._swept.cache_info().misses == misses + 1, kwargs
+        assert masks.size > whole.size, kwargs
+        assert np.array_equal(masks, _bitset_brute_force(dropped, constraints)), kwargs
+        assert contractions._swept.cache_info().currsize <= 1
 
 
 @pytest.mark.parametrize("chunk_bits", [6, 8, 20])
@@ -313,7 +402,7 @@ def test_sweeps_match_brute_force_whatever_links_are_chunk_invariant(monkeypatch
             _ComboTable(factor_vars=layout, allowed=_equality_codes(layout)) for layout in extra))
         _assert_sweeps_match_brute_force(s, (n_active, seed))
         for route, (sweep, kwargs) in enumerate(_ROUTES):
-            _, counts = _link_evaluations(monkeypatch, sweep, s, **kwargs)
+            _, counts = _link_evaluations(monkeypatch, lambda: sweep(s, **kwargs))
             kinds = set()
             for link, evaluations in counts.items():
                 inner, chunks = _chunk_invariant(s, link, chunk_bits)

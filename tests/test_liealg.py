@@ -6,7 +6,9 @@ import pytest
 
 from gradelab import liealg
 from gradelab.autgrp import Automorphism, make_ad
-from gradelab.gradings import Grading
+from gradelab.contractions import contracted_structure, generate_equations, solve_binary
+from gradelab.cyclo import CycloNumber, zeta
+from gradelab.gradings import Grading, catalog
 from gradelab.liealg import (StructureTable, jacobi_table_holds, parse_element,
                              special_linear)
 from gradelab.linalg import Matrix, as_cyclo
@@ -90,6 +92,101 @@ def test_jacobi_table_rejects_perturbation():
     upper[(0, 2)] = entry
     assert jacobi_table_holds(sl3.structure_constant)
     assert not jacobi_table_holds(StructureTable(8, upper))
+
+
+def _jacobi_by_products(table):
+    """The body `jacobi_table_holds` replaced, as the reference: each double
+    bracket summed product by product in CycloNumber arithmetic."""
+    dim = table.dim
+    def double(first, outer):
+        acc = {}
+        for m, c in first.items():
+            inner = table(m, outer)
+            for k, d in inner.items():
+                cur = acc.get(k)
+                val = c * d if cur is None else cur + c * d
+                acc[k] = val
+        return acc
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                total = {}
+                for part in (double(table(i, j), k),
+                             double(table(j, k), i),
+                             double(table(k, i), j)):
+                    for m, c in part.items():
+                        cur = total.get(m)
+                        total[m] = c if cur is None else cur + c
+                if any(not c.is_zero() for c in total.values()):
+                    return False
+    return True
+
+
+def _mixed_value(pick):
+    """A nonzero value at one of the orders 1, 2, 3, 4 and 8: a rational
+    multiple of a root of unity of that order, the rationals at 1 or 2."""
+    order = pick.choice((1, 2, 3, 4, 8))
+    scale = Fraction(pick.choice((-1, 1)) * pick.randint(1, 5), pick.randint(1, 3))
+    if order <= 2:
+        return CycloNumber.from_rational(scale, order)
+    return zeta(order, pick.randrange(order)) * scale
+
+
+def _stored(value, pick):
+    """`value` at its conductor, a rational at order 1 or 2 at random."""
+    value = value.reduced()
+    if value.order == 1 and pick.random() < 0.5:
+        return CycloNumber.from_rational(value.coeffs[0], 2)
+    return value
+
+
+def _rescaled(table, pick):
+    """The table of the basis lam_i b_i: [lam_i b_i, lam_j b_j] has coordinate
+    c * lam_i lam_j / lam_k at lam_k b_k, so Jacobi holds iff it held."""
+    lam = [_mixed_value(pick) for _ in range(table.dim)]
+    return {(i, j): {k: _stored(c * lam[i] * lam[j] / lam[k], pick) for k, c in entry.items()}
+            for (i, j), entry in table.upper.items()}
+
+
+def _random_upper(dim, pick, density):
+    return {(i, j): {k: _mixed_value(pick) for k in range(dim) if pick.random() < density}
+            for i in range(dim) for j in range(i + 1, dim) if pick.random() < density}
+
+
+def test_jacobi_verdicts_equal_the_product_by_product_sums():
+    tables = [sl3.structure_constant]
+    for name in ("g1", "g2", "g3", "g4"):
+        grading = catalog(name).grading
+        system = generate_equations(grading)
+        solved = solve_binary(system)
+        pick = random.Random(name)
+        for k in range(64):  # every other mask a solution, the others uniform
+            if k % 2 == 0:
+                mask = int(solved.active_masks[pick.randrange(solved.active_count)])
+                for f in system.free:
+                    mask |= pick.getrandbits(1) << f
+            else:
+                mask = pick.getrandbits(system.num_variables)
+            tables.append(contracted_structure(grading, system.mask_to_assignment(mask)))
+    pick = random.Random(35204)
+    for _ in range(40):
+        tables.append(StructureTable(5, _random_upper(5, pick, 0.4)))
+    for algebra in (special_linear(2), sl3):
+        for _ in range(4):
+            upper = _rescaled(algebra.structure_constant, pick)
+            tables.append(StructureTable(algebra.dim, upper))
+            # beside it a random bracket on three more basis vectors, which
+            # fails Jacobi in the last triple (dim, dim + 1, dim + 2) alone
+            last = algebra.dim
+            block = {(last + i, last + j): {last + k: _mixed_value(pick) for k in range(3)}
+                     for i, j in ((0, 1), (0, 2), (1, 2))}
+            tables.append(StructureTable(last + 3, {**upper, **block}))
+            assert not _jacobi_by_products(tables[-1])
+            assert _jacobi_by_products(StructureTable(last + 3, upper))
+    verdicts = [_jacobi_by_products(table) for table in tables]
+    assert [jacobi_table_holds(table) for table in tables] == verdicts
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 def test_parse_element_round_trip():
