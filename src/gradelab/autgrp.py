@@ -163,22 +163,12 @@ def _action_matrix(f: Automorphism) -> Matrix:
         return [zero if x.is_zero() or y.is_zero() else x * y
                 for x in left[a::n] for y in row]
 
-    off = [r * n + c for r in range(n) for c in range(n) if r != c]
-
-    def coords(image):
-        """`LieAlgebra.from_matrix` of a traceless flat image."""
-        out = [image[k] for k in off]
-        partial = zero
-        for k in range(n - 1):
-            partial = partial + image[k * (n + 1)]
-            out.append(partial)
-        return out
-
-    swap = f.kind != INNER
-    cols = [coords(outer(j, i) if swap else outer(i, j))
+    swap, coords = f.kind != INNER, f.algebra._coords
+    cols = [coords(outer(j, i) if swap else outer(i, j), rep.order)
             for i in range(n) for j in range(n) if i != j]
     diag = [outer(k, k) for k in range(n)]
-    cols += [coords([x - y for x, y in zip(diag[k], diag[k + 1])]) for k in range(n - 1)]
+    cols += [coords([x - y for x, y in zip(diag[k], diag[k + 1])], rep.order)
+             for k in range(n - 1)]
     dim = f.algebra.dim
     return _exact(dim, dim, tuple([cols[j][i] for i in range(dim) for j in range(dim)]),
                   rep.order)
@@ -272,26 +262,10 @@ class InfiniteOrderError(ValueError):
     pass
 
 
-class ClosureCapExceeded(RuntimeError):
+class ClosureCapExceeded(ValueError):
     def __init__(self, cap: int):
         super().__init__(f"group closure exceeded cap of {cap} elements")
         self.cap = cap
-
-
-NODE_CAP_ENV = "GRADELAB_NODE_CAP"
-
-
-class NodeCapExceeded(RuntimeError):
-    """`contractions.solve_binary` passed its node budget.  Kept here, in a
-    module without numpy, so the CLI can catch it without importing numpy."""
-
-    def __init__(self, cap: int, nodes: int, solutions_so_far: int):
-        super().__init__(
-            f"solver exceeded the node cap of {cap} ({NODE_CAP_ENV}) at {nodes} nodes; "
-            f"{solutions_so_far} solutions found before stopping")
-        self.cap = cap
-        self.nodes = nodes
-        self.solutions_so_far = solutions_so_far
 
 
 def _bfs(start, generators, step, key, audit=None) -> dict:

@@ -37,15 +37,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-# the node cap's exception lives in numpy-free autgrp, so the CLI catches it
-# without importing this module; it stays importable from here
-from .autgrp import NODE_CAP_ENV, NodeCapExceeded
 from .linalg import Matrix, vec_is_zero
 from .liealg import StructureTable, jacobi_table_holds
 from .gradings import Grading, format_label
 from .normalizers import Permutation, PermutationGroup
 
 DEFAULT_NODE_CAP = 2_000_000
+NODE_CAP_ENV = "GRADELAB_NODE_CAP"
 CHUNK_BITS = 20             # a sweep enumerates 2^CHUNK_BITS assignments at a time
 MATERIALIZE_CAP = 1 << 22   # largest solution set that full-set orbits materialize
 
@@ -558,6 +556,18 @@ class SolutionSet:
     def __repr__(self):
         return (f"SolutionSet({self.active_count} constrained patterns x "
                 f"2^{len(self.system.free)} free = {len(self)})")
+
+
+class NodeCapExceeded(ValueError):
+    """`solve_binary` passed its node budget."""
+
+    def __init__(self, cap: int, nodes: int, solutions_so_far: int):
+        super().__init__(
+            f"solver exceeded the node cap of {cap} ({NODE_CAP_ENV}) at {nodes} nodes; "
+            f"{solutions_so_far} solutions found before stopping")
+        self.cap = cap
+        self.nodes = nodes
+        self.solutions_so_far = solutions_so_far
 
 
 def _node_cap_from_env() -> int:

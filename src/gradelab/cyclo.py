@@ -257,14 +257,7 @@ class CycloNumber:
             raise ValueError(f"cannot embed order {self.order} into {target_order}")
         if not any(self.nums):
             return _constant(0, target_order)
-        step = target_order // self.order
-        powers = _powers(target_order)
-        out = [0] * euler_phi(target_order)
-        for k, c in enumerate(self.nums):
-            if c:
-                for j, v in powers[k * step]:
-                    out[j] += c * v
-        return _lowest(target_order, out, self.den)
+        return _substitute(self, target_order, target_order // self.order)
 
     def reduce_order(self, target_order: int) -> "CycloNumber":
         """Rewrite in Q(zeta_M) for M | N; ValueError if the value is not in that subfield."""
@@ -388,13 +381,7 @@ class CycloNumber:
         t %= n
         if n > 1 and gcd(t, n) != 1:
             raise ValueError(f"galois exponent {t} not coprime to {n}")
-        powers = _powers(n)
-        out = [0] * len(self.nums)
-        for k, c in enumerate(self.nums):
-            if c:
-                for j, v in powers[k * t % n]:
-                    out[j] += c * v
-        return _lowest(n, out, self.den)
+        return _substitute(self, n, t)
 
     def conjugate(self) -> "CycloNumber":
         """Complex conjugation: zeta_N -> zeta_N^(N-1)."""
@@ -502,6 +489,17 @@ def _lowest(order: int, nums: list, den: int) -> CycloNumber:
     if g != 1:
         return _exact(order, tuple([a // g for a in nums]), den // g)
     return _exact(order, tuple(nums), den)
+
+
+def _substitute(x: CycloNumber, order: int, t: int) -> CycloNumber:
+    """x with zeta_(x.order) replaced by zeta_order^t, in Q(zeta_order)."""
+    powers = _powers(order)
+    out = [0] * euler_phi(order)
+    for k, c in enumerate(x.nums):
+        if c:
+            for j, v in powers[k * t % order]:
+                out[j] += c * v
+    return _lowest(order, out, x.den)
 
 
 def _fraction(a: int, den: int) -> tuple[int, int]:

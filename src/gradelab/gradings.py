@@ -107,11 +107,7 @@ class Grading:
         if (group is None) != (labels is None):
             raise ValueError("group and labels must be supplied together")
         if labels is not None:
-            labels = tuple(group.reduce(l) for l in labels)
-            if len(labels) != len(parts):
-                raise ValueError("one label per part required")
-            if len(set(labels)) != len(labels):
-                raise ValueError("labels must be injective")
+            labels = _checked_labels(group, labels, len(parts))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "group", group)
@@ -271,13 +267,20 @@ def verify_grading(g: Grading) -> GradingCertificate:
     return GradingCertificate(True, targets)
 
 
-def verify_labeling(g: Grading, group: AbelianGroup, labels) -> bool:
-    """Check [L_i, L_j] <= L_{labels(i)+labels(j)} for all bracket-active pairs."""
-    labels = [group.reduce(l) for l in labels]
-    if len(labels) != g.num_parts:
+def _checked_labels(group: AbelianGroup, labels, num_parts: int) -> tuple:
+    """The labels reduced in the group; ValueError unless there is one per
+    part and no two are equal."""
+    labels = tuple(group.reduce(l) for l in labels)
+    if len(labels) != num_parts:
         raise ValueError("one label per part required")
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be injective")
+    return labels
+
+
+def verify_labeling(g: Grading, group: AbelianGroup, labels) -> bool:
+    """Check [L_i, L_j] <= L_{labels(i)+labels(j)} for all bracket-active pairs."""
+    labels = _checked_labels(group, labels, g.num_parts)
     cert = verify_grading(g)
     if not cert.ok:
         return False

@@ -150,15 +150,17 @@ class LieAlgebra:
             raise ValueError("matrix has the wrong shape")
         if not m.trace().is_zero():
             raise ValueError("matrix is not traceless")
-        coords = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    coords.append(m[i, j])
+        return self._coords(m.entries, m.order)
+
+    def _coords(self, flat, order: int) -> tuple:
+        """Coordinates of a traceless matrix given as its n^2 entries,
+        row-major, each of the given order; nothing is checked."""
+        n = self.n
+        coords = [flat[i * n + j] for i in range(n) for j in range(n) if i != j]
         # diagonal d decomposes over H_k with coefficients a_k = d_1 + ... + d_k
-        partial = CycloNumber.zero(m.order)
-        for k in range(self.n - 1):
-            partial = partial + m[k, k]
+        partial = CycloNumber.zero(order)
+        for k in range(n - 1):
+            partial = partial + flat[k * (n + 1)]
             coords.append(partial)
         return tuple(coords)
 

@@ -27,6 +27,7 @@ equal subspaces always have identical basis tuples.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -95,20 +96,18 @@ class Matrix:
     # --- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other):
+        return self._entrywise(operator.sub, other)
+
+    def _entrywise(self, op, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+                      [op(a, b) for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self):
         return Matrix(self.rows, self.cols, [-a for a in self.entries])

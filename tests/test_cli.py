@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from gradelab import cli, liealg, selfcheck
+from gradelab import autgrp, cli, contractions, liealg, normalizers, selfcheck
 from gradelab.autgrp import NAMED_AUTOMORPHISMS, named_automorphism
 from gradelab.cyclo import CycloNumber, zeta
 from gradelab.gradings import CATALOG_NAMES, catalog
@@ -184,12 +184,33 @@ def test_contract_solve_with_orbits(capsys):
 
 
 def test_contract_solve_lists_the_patterns_it_shows(capsys):
-    # the human output once announced the first patterns and printed none
-    for argv, count in ((("--catalog", "g2", "--limit", "3"), 3),
-                        (("--catalog", "g1", "--limit", "0"), 255)):
-        rc, out = run(capsys, "contract", "solve", *argv)
+    # the human output once announced the first patterns and printed none;
+    # each pattern and orbit representative line names exactly the pairs
+    # whose bit is set, which the golden digests (JSON only) do not pin
+    for name, argv, count in (("g2", ("--limit", "3"), 3),
+                              ("g1", ("--limit", "0", "--orbits"), 255)):
+        rc, out = run(capsys, "contract", "solve", "--catalog", name, *argv)
         assert rc == 0
-        assert sum(line.startswith("  pattern {") for line in out.splitlines()) == count
+        system = contractions.generate_equations(catalog(name).grading)
+        solved = contractions.solve_binary(system)
+
+        def named(mask):
+            on = [contractions.format_pair(pair)
+                  for pair, bit in system.mask_to_assignment(int(mask)).items() if bit]
+            return "{" + ", ".join(on) + "}"
+
+        lines = out.splitlines()
+        patterns = [line for line in lines if line.startswith("  pattern {")]
+        assert patterns == [f"  pattern {named(m)}" for m in solved.active_masks[:count]]
+        reps = [line.split("  rep ", 1)[1] for line in lines if line.startswith("  size ")]
+        if "--orbits" in argv:
+            entry = catalog(name)
+            q = normalizers.quotient_group(
+                entry.spec, entry.grading, normalizers.catalog_normalizer_generators(name))
+            orbits = contractions.symmetry_orbits(solved, q, include_free=False)
+            assert reps == [named(o.representative) for o in orbits]
+        else:
+            assert reps == []
 
 
 def test_json_output_is_byte_deterministic(capsys):
@@ -480,6 +501,14 @@ def test_solve_past_the_node_cap_is_a_one_line_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("GRADELAB_NODE_CAP", "32728")
     err = assert_one_line_usage_error(capsys, ["contract", "solve", "--catalog", "g4"])
     assert err.startswith("error: solver exceeded the node cap of 32728 (GRADELAB_NODE_CAP)")
+
+
+def test_closure_past_the_closure_cap_is_a_one_line_usage_error(capsys, monkeypatch):
+    # a g2 quotient memoized by an earlier test would never reach the cap
+    normalizers._quotient_and_inner.cache_clear()
+    monkeypatch.setattr(autgrp, "CLOSURE_CAP", 3)
+    err = assert_one_line_usage_error(capsys, ["normalizer", "quotient", "--catalog", "g2"])
+    assert err == "error: group closure exceeded cap of 3 elements\n"
 
 
 def test_bad_only_value_is_a_one_line_usage_error(capsys):
