@@ -17,13 +17,20 @@ Both sweep equality chains: the oracle reads each residual table as the
 chain of its nonzero terms, the one shape T1+T2+T3 = 0 leaves, and refuses
 a table of any other shape.
 
+The residuals come from one sparse table per grading, the `StructureTable`
+of the grading-adapted basis (`_uncontracted_adapted`, which refuses parts
+that are not a labeled grading): [[x_a,x_b],x_c] = sum_m c_ab^m [x_m,x_c],
+one `cyclo._dot` per adapted coordinate.  The three T vectors lie in the
+part labeled la+lb+lc, whose basis is in RREF, so the pivot coordinates are
+its pivot columns at the RREF pivots of the adapted coefficient rows.  The
+test suite keeps the dense route, in the algebra's coordinates, as reference.
+
 The independent ground truth is `jacobi_oracle`, a direct Jacobi check on
-the contracted structure constants: the `liealg.StructureTable` of the
-grading-adapted basis with the blocks switched off dropped
-(`contracted_structure`).  The test suite verifies the generated system
-against it exhaustively over the constrained variables.  An
-assignment of the eps parameters is a bit mask: bit i is the value of
-`ContractionSystem.variables[i]`.
+the contracted structure constants: the same table with the blocks
+switched off dropped (`contracted_structure`).  The test suite verifies
+the generated system against it exhaustively over the constrained
+variables.  An assignment of the eps parameters is a bit mask: bit i is
+the value of `ContractionSystem.variables[i]`.
 """
 from __future__ import annotations
 
@@ -32,11 +39,11 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
+from .cyclo import _dot
 from .linalg import Matrix, vec_is_zero
 from .liealg import StructureTable, jacobi_table_holds
 from .gradings import Grading, format_label
@@ -143,7 +150,8 @@ class _ComboTable:
 
 
 def _adapted_basis(g: Grading):
-    """Flattened part bases: coordinate vectors, their part index, and names."""
+    """Flattened part bases: coordinate vectors, their part index, names, and
+    the pivot column of each in its part's RREF basis."""
     vectors, parts, names = [], [], []
     for i, part in enumerate(g.parts):
         for r, v in enumerate(part.basis):
@@ -151,75 +159,60 @@ def _adapted_basis(g: Grading):
             parts.append(i)
             suffix = f".{r}" if part.dim > 1 else ""
             names.append(f"L{format_label(g.labels[i])}{suffix}")
-    return vectors, parts, names
+    leads = [next(k for k, x in enumerate(v) if not x.is_zero()) for v in vectors]
+    return vectors, parts, names, leads
 
 
-@lru_cache(maxsize=8)
-def _adapted_brackets(g: Grading) -> MappingProxyType:
-    """{(i, j): [x_i, x_j]} in the original coordinates, for each pair i < j
-    of adapted basis vectors (`_adapted_basis`); shared by
-    `generate_equations` and `_uncontracted_adapted`, so each is computed once."""
-    vectors, _, _ = _adapted_basis(g)
-    return MappingProxyType({(i, j): g.algebra.bracket_coords(vectors[i], vectors[j])
-                             for i, j in itertools.combinations(range(len(vectors)), 2)})
+def _sparse_sum(vectors) -> dict:
+    """The sum of sparse vectors {n: c}, its zero coordinates dropped."""
+    total = {}
+    for vec in vectors:
+        for n, c in vec.items():
+            total[n] = total[n] + c if n in total else c
+    return {n: c for n, c in total.items() if not c.is_zero()}
 
 
 def generate_equations(g: Grading) -> ContractionSystem:
-    """Derive the monomial relations forced by Jacobi on the contracted bracket."""
+    """Derive the monomial relations forced by Jacobi on the contracted bracket,
+    reading each T vector off the adapted table (see the module docstring)."""
     if g.labels is None:
         raise ValueError("grading must be labeled to generate contraction equations")
-    algebra = g.algebra
-    group = g.group
     labels = list(g.labels)
-    realized = set(labels)
     variables = sorted(pair_key(a, b)
                        for i, a in enumerate(labels) for b in labels[i:])
     var_index = {p: i for i, p in enumerate(variables)}
 
-    vectors, part_of, names = _adapted_basis(g)
+    _, part_of, names, leads = _adapted_basis(g)
+    pair_of, table = _uncontracted_adapted(g)
+    order, factors = table._prepared()
 
-    def term(li, lj, lk, t_vec):
-        """Monomial of eps_{ij} eps_{i+j,k}, or None if its T vector is void."""
-        total = group.add(li, lj)
-        if total not in realized:
-            if not vec_is_zero(t_vec):
-                raise ArithmeticError(
-                    "bracket lands outside the realized labels; grading is invalid")
-            return None
-        if vec_is_zero(t_vec):
-            return None
-        u = var_index[pair_key(li, lj)]
-        v = var_index[pair_key(total, lk)]
-        return (u, v) if u <= v else (v, u)
+    def term(i, j, k):
+        """(monomial of eps_{ij} eps_{i+j,k} or None, sparse [[x_i, x_j], x_k])."""
+        products: dict = {}
+        for m, c in factors.get((i, j), ()):
+            for n, d in factors.get((m, k), ()):
+                products.setdefault(n, []).append((c, d))
+        t_vec = {n: t for n, pairs in products.items() if not (t := _dot(order, pairs)).is_zero()}
+        if not t_vec:
+            return None, t_vec
+        u = var_index[pair_of[i, j]]
+        v = var_index[pair_key(g.group.add(*pair_of[i, j]), labels[part_of[k]])]
+        return (u, v) if u <= v else (v, u), t_vec
 
-    # each inner bracket [x_i, x_j], i < j, once; [x_c, x_a] is -[x_a, x_c]
-    inner = _adapted_brackets(g)
-    seen = set()
-    equations = []
-    combo_tables = []
-    for a, b, c in itertools.combinations(range(len(vectors)), 3):
-        xa, xb, xc = vectors[a], vectors[b], vectors[c]
-        la, lb, lc = (labels[part_of[a]], labels[part_of[b]], labels[part_of[c]])
-        t1 = algebra.bracket_coords(inner[a, b], xc)
-        t2 = algebra.bracket_coords(inner[b, c], xa)
-        t3 = algebra.bracket_coords([-x for x in inner[a, c]], xb)
-        terms = [(term(la, lb, lc, t1), t1),
-                 (term(lb, lc, la, t2), t2),
-                 (term(lc, la, lb, t3), t3)]
-
+    seen, equations, combo_tables = set(), [], []
+    for a, b, c in itertools.combinations(range(len(part_of)), 3):
+        terms = [term(a, b, c), term(b, c, a), term(c, a, b)]
+        # bit `code` of `allowed` is set when the T vectors it picks sum to zero
         combo_tables.append(_ComboTable(
             factor_vars=tuple(mono for mono, _ in terms),
-            allowed=_allowed_mask((t1, t2, t3))))
+            allowed=sum(1 << code for code in range(8) if not _sparse_sum(
+                t_vec for slot, (_, t_vec) in enumerate(terms) if code >> slot & 1))))
 
         merged: dict = {}
         for mono, t_vec in terms:
-            if mono is None:
-                continue
-            if mono in merged:
-                merged[mono] = [x + y for x, y in zip(merged[mono], t_vec)]
-            else:
-                merged[mono] = list(t_vec)
-        coeffs = {mono: vec for mono, vec in merged.items() if not vec_is_zero(vec)}
+            if mono is not None:
+                merged.setdefault(mono, []).append(t_vec)
+        coeffs = {mono: vec for mono, vecs in merged.items() if (vec := _sparse_sum(vecs))}
         if len(coeffs) <= 1:
             # an isolated nonzero coefficient is impossible since T1+T2+T3 = 0
             if coeffs:
@@ -228,44 +221,51 @@ def generate_equations(g: Grading) -> ContractionSystem:
         monomials = tuple(sorted(coeffs))
         if monomials not in seen:
             seen.add(monomials)
-            _, pivots = Matrix.from_rows(coeffs.values()).rref()
+            cols = sorted({n for vec in coeffs.values() for n in vec})
+            _, pivots = Matrix.from_rows([[vec.get(n, 0) for n in cols]
+                                          for vec in coeffs.values()]).rref()
             equations.append(Equation(monomials=monomials,
                                       triple=(names[a], names[b], names[c]),
-                                      pivot_coords=pivots, rank=len(pivots)))
+                                      pivot_coords=tuple(leads[cols[q]] for q in pivots),
+                                      rank=len(pivots)))
     return ContractionSystem(g, variables, equations, tuple(combo_tables))
-
-
-def _allowed_mask(terms) -> int:
-    """Bit `code` is set when the T vectors that `code` picks sum to zero."""
-    nonzero = [not vec_is_zero(t) for t in terms]
-    mask = 0
-    for code in range(8):
-        picked = [t for i, t in enumerate(terms) if code >> i & 1 and nonzero[i]]
-        if len(picked) < 2:
-            zero = not picked
-        else:
-            zero = vec_is_zero([sum(column[1:], column[0]) for column in zip(*picked)])
-        if zero:
-            mask |= 1 << code
-    return mask
 
 
 # --- the contracted algebra and its Jacobi oracle ----------------------------
 
 @lru_cache(maxsize=8)
 def _uncontracted_adapted(g: Grading):
-    """Part index of each adapted basis vector, and the `StructureTable` of
-    the adapted basis in its own coordinates."""
-    vectors, part_of, _ = _adapted_basis(g)
-    dim = g.algebra.dim
-    basis_matrix = Matrix(dim, dim,
-                          [vectors[r][c] for r in range(dim) for c in range(dim)])
-    to_adapted = basis_matrix.inverse().transpose()
-    upper = {}
-    for (i, j), br in _adapted_brackets(g).items():
-        coords = to_adapted.apply(br)
-        upper[(i, j)] = {k: c for k, c in enumerate(coords) if not c.is_zero()}
-    return part_of, StructureTable(dim, upper)
+    """(pair_of, table): the `StructureTable` of the adapted basis in its own
+    coordinates, and the label pair of each nonzero entry's block.  Each
+    bracket [x_i, x_j], i < j, is formed once; it must lie in the part
+    labeled l_i + l_j and is read there at that part's RREF pivot columns.
+    A one-line ValueError names one that lies in no single part (the parts
+    are not a grading), or else the first in a part of another label."""
+    vectors, part_of, names, leads = _adapted_basis(g)
+    parts, labels = g.parts, g.labels
+    labeled = {label: p for p, label in enumerate(labels)}
+    upper, pair_of, misplaced = {}, {}, []
+    for i, j in itertools.combinations(range(len(vectors)), 2):
+        br = g.algebra.bracket_coords(vectors[i], vectors[j])
+        if vec_is_zero(br):
+            continue
+        li, lj = labels[part_of[i]], labels[part_of[j]]
+        total = g.group.add(li, lj)
+        p = labeled.get(total)
+        if p is None or not parts[p].contains(br):
+            p = next((q for q, part in enumerate(parts) if part.contains(br)), None)
+            where = f"the bracket of {names[i]} (part {part_of[i]}) and {names[j]} " \
+                    f"(part {part_of[j]}) lies in "
+            if p is None:
+                raise ValueError(where + "no single part")
+            misplaced.append(where + f"part {p}, labeled {format_label(labels[p])}, "
+                                     f"not {format_label(total)}")
+        upper[i, j] = {n: br[leads[n]] for n, q in enumerate(part_of)
+                       if q == p and not br[leads[n]].is_zero()}
+        pair_of[i, j] = pair_of[j, i] = pair_key(li, lj)
+    if misplaced:
+        raise ValueError(misplaced[0])
+    return pair_of, StructureTable(len(vectors), upper)
 
 
 def contracted_structure(g: Grading, eps: dict) -> StructureTable:
@@ -274,9 +274,8 @@ def contracted_structure(g: Grading, eps: dict) -> StructureTable:
     returns: the blocks switched on are kept, the others dropped."""
     if g.labels is None:
         raise ValueError("grading must be labeled to contract it")
-    part_of, table = _uncontracted_adapted(g)
-    label_of = [g.labels[part] for part in part_of]
-    return table._restricted(lambda i, j: eps[pair_key(label_of[i], label_of[j])])
+    pair_of, table = _uncontracted_adapted(g)
+    return table._restricted(lambda ij: eps[pair_of[ij]])
 
 
 def jacobi_oracle(candidate: StructureTable) -> bool:

@@ -38,7 +38,7 @@ class StructureTable:
     [b_i, b_j] is one dict lookup (an empty dict when the bracket is zero).
     """
 
-    __slots__ = ("dim", "_entries")
+    __slots__ = ("dim", "_entries", "_factors")
 
     def __init__(self, dim: int, upper: dict):
         entries = {}
@@ -48,6 +48,7 @@ class StructureTable:
                 entries[(j, i)] = {k: -c for k, c in entry.items()}
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_factors", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StructureTable is immutable")
@@ -55,11 +56,29 @@ class StructureTable:
     def __call__(self, i: int, j: int) -> SparseVec:
         return self._entries.get((i, j), {})
 
+    def _prepared(self) -> tuple:
+        """(order, factors), made once per table: the least common multiple
+        of the entries' orders above 2 (an entry at order 1 or 2 is rational
+        and needs no embedding), and {(i, j): [(k, c), ...]} with each entry
+        c of [b_i, b_j] at b_k a factor of `cyclo._dot` at that order
+        (`linalg._at`)."""
+        if self._factors is None:
+            order = lcm(1, *{c.order for entry in self._entries.values()
+                             for c in entry.values() if c.order > 2})
+            object.__setattr__(self, "_factors", (order, {
+                ij: [(k, _at(order, c)) for k, c in entry.items()]
+                for ij, entry in self._entries.items()}))
+        return self._factors
+
     def _restricted(self, keep) -> "StructureTable":
-        """The brackets [b_i, b_j] with keep(i, j), symmetric, sharing these entries."""
+        """The brackets [b_i, b_j] with keep((i, j)), symmetric, sharing these
+        entries and their prepared factors (`_prepared`)."""
+        order, factors = self._prepared()
+        entries = {ij: entry for ij, entry in self._entries.items() if keep(ij)}
         table = object.__new__(StructureTable)
         object.__setattr__(table, "dim", self.dim)
-        object.__setattr__(table, "_entries", {ij: e for ij, e in self._entries.items() if keep(*ij)})
+        object.__setattr__(table, "_entries", entries)
+        object.__setattr__(table, "_factors", (order, {ij: factors[ij] for ij in entries}))
         return table
 
     @property
@@ -205,16 +224,12 @@ def jacobi_table_holds(table: StructureTable) -> bool:
     at the first triple that fails.  Coordinate n of a triple's residual is
     the sum of c * d over the entries c of [b_i, b_j] at b_m and d of
     [b_m, b_k] at b_n, and likewise for the other two double brackets: one
-    `cyclo._dot` decides whether it is zero, at the least common multiple of
-    the entries' orders above 2 (an entry at order 1 or 2 is rational and
-    needs no embedding).  Each entry is made a factor at that order
-    (`linalg._at`) once per call.
+    `cyclo._dot` decides whether it is zero, at the order of the table's
+    prepared factors (`StructureTable._prepared`).  They are made once per
+    table, not once per call, and a restriction shares its table's: so the
+    spot checks of one grading's contractions embed no entry again.
     """
-    entries = table._entries
-    order = lcm(1, *{c.order for entry in entries.values() for c in entry.values()
-                     if c.order > 2})
-    factors = {ij: [(k, _at(order, c)) for k, c in entry.items()]
-               for ij, entry in entries.items()}
+    order, factors = table._prepared()
     dim = table.dim
     for i in range(dim):
         for j in range(i + 1, dim):

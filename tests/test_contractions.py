@@ -18,8 +18,8 @@ from gradelab.contractions import (ContractionSystem, Equation, NodeCapExceeded,
                                    symmetry_orbits)
 from gradelab.cyclo import CycloNumber
 from gradelab.gradings import AbelianGroup, Grading, catalog, verify_grading
-from gradelab.liealg import special_linear
-from gradelab.linalg import Subspace
+from gradelab.liealg import LieAlgebra, StructureTable, special_linear
+from gradelab.linalg import Matrix, Subspace, vec_is_zero
 from gradelab.normalizers import (Permutation, PermutationGroup, quotient_group,
                                   catalog_normalizer_generators)
 
@@ -86,7 +86,8 @@ def test_a_variable_is_free_iff_its_pair_brackets_to_zero():
         zero = {pair_key(labels[i], labels[j])
                 for (i, j), k in verify_grading(grading).bracket_targets.items()
                 if k is None}
-        part_of, table = _uncontracted_adapted(grading)
+        _, part_of, *_ = _adapted_basis(grading)
+        _, table = _uncontracted_adapted(grading)
         nonzero = {pair_key(labels[part_of[i]], labels[part_of[j]]) for i, j in table.upper}
         assert zero == set(s.variables) - nonzero, name
         assert {s.variables[f] for f in s.free} == zero, name
@@ -542,7 +543,7 @@ def test_all_ones_recovers_the_original_bracket():
 def test_contracted_structure_keeps_the_blocks_switched_on():
     for name in ("g1", "g2", "g3", "g4"):
         grading, s = catalog(name).grading, system(name)
-        vectors, part_of, _ = _adapted_basis(grading)
+        vectors, part_of, *_ = _adapted_basis(grading)
         _, table = _uncontracted_adapted(grading)
         # all ones is the uncontracted bracket of the adapted basis
         all_on = s.mask_to_assignment((1 << s.num_variables) - 1)
@@ -571,7 +572,8 @@ def test_contracted_structure_shares_the_uncontracted_entries():
     # entries, not negated again; a dropped one reads as a zero bracket
     for name in ("g1", "g4"):
         grading, s = catalog(name).grading, system(name)
-        part_of, table = _uncontracted_adapted(grading)
+        _, part_of, *_ = _adapted_basis(grading)
+        _, table = _uncontracted_adapted(grading)
         labels = [grading.labels[part] for part in part_of]
         mask = random.Random(name).getrandbits(s.num_variables)
         eps = s.mask_to_assignment(mask)
@@ -581,6 +583,120 @@ def test_contracted_structure_shares_the_uncontracted_entries():
                 assert kept(i, j) is table(i, j), (name, i, j)
             else:
                 assert kept(i, j) == {}, (name, i, j)
+
+
+def _dense_route(g):
+    """The equations, residual tables and adapted table by the dense route,
+    as the reference: each T vector formed by `bracket_coords` in the
+    algebra's coordinates, the pivot coordinates by an rref there, and the
+    table by the inverse of the matrix of the adapted basis."""
+    algebra, group, labels = g.algebra, g.group, list(g.labels)
+    dim = algebra.dim
+    vectors, part_of, names, _ = _adapted_basis(g)
+    variables = sorted(pair_key(a, b) for i, a in enumerate(labels) for b in labels[i:])
+    var_index = {p: i for i, p in enumerate(variables)}
+    inner = {(i, j): algebra.bracket_coords(vectors[i], vectors[j])
+             for i, j in itertools.combinations(range(dim), 2)}
+
+    def term(li, lj, lk, t_vec):
+        total = group.add(li, lj)
+        assert total in labels or vec_is_zero(t_vec)
+        if vec_is_zero(t_vec):
+            return None
+        u, v = var_index[pair_key(li, lj)], var_index[pair_key(total, lk)]
+        return (u, v) if u <= v else (v, u)
+
+    def sums_to_zero(picked):
+        return vec_is_zero([sum(column[1:], column[0]) for column in zip(*picked)])
+
+    seen, equations, combo_tables = set(), [], []
+    for a, b, c in itertools.combinations(range(dim), 3):
+        la, lb, lc = (labels[part_of[a]], labels[part_of[b]], labels[part_of[c]])
+        ts = (algebra.bracket_coords(inner[a, b], vectors[c]),
+              algebra.bracket_coords(inner[b, c], vectors[a]),
+              algebra.bracket_coords([-x for x in inner[a, c]], vectors[b]))
+        monos = (term(la, lb, lc, ts[0]), term(lb, lc, la, ts[1]), term(lc, la, lb, ts[2]))
+        nonzero = [not vec_is_zero(t) for t in ts]
+        allowed = 0
+        for code in range(8):
+            picked = [t for slot, t in enumerate(ts) if code >> slot & 1 and nonzero[slot]]
+            if not picked if len(picked) < 2 else sums_to_zero(picked):
+                allowed |= 1 << code
+        combo_tables.append(_ComboTable(factor_vars=monos, allowed=allowed))
+        merged = {}
+        for mono, t_vec in zip(monos, ts):
+            if mono is not None:
+                merged[mono] = [x + y for x, y in zip(merged[mono], t_vec)] \
+                    if mono in merged else list(t_vec)
+        coeffs = {mono: vec for mono, vec in merged.items() if not vec_is_zero(vec)}
+        assert len(coeffs) != 1
+        monomials = tuple(sorted(coeffs))
+        if len(coeffs) > 1 and monomials not in seen:
+            seen.add(monomials)
+            _, pivots = Matrix.from_rows(coeffs.values()).rref()
+            equations.append(Equation(monomials=monomials, triple=(names[a], names[b], names[c]),
+                                      pivot_coords=pivots, rank=len(pivots)))
+    to_adapted = Matrix.from_rows(vectors).inverse().transpose()
+    upper = {}
+    for ij, br in inner.items():
+        coords = to_adapted.apply(br)
+        upper[ij] = {k: x for k, x in enumerate(coords) if not x.is_zero()}
+    return (ContractionSystem(g, variables, equations, tuple(combo_tables)),
+            StructureTable(dim, upper))
+
+
+def test_sparse_route_matches_the_dense_route():
+    # the equations, the residual tables and the adapted table all come from
+    # one sparse adapted table; the dense route in the algebra's coordinates
+    # gives the same equations, tables and entry values
+    for name in ("g1", "g2", "g3", "g4"):
+        grading = catalog(name).grading
+        dense, dense_table = _dense_route(grading)
+        s = system(name)
+        assert s.to_json() == dense.to_json(), name
+        assert s._combo_tables == dense._combo_tables, name
+        assert _uncontracted_adapted(grading)[1].upper == dense_table.upper, name
+
+
+def test_generate_equations_forms_each_bracket_of_the_adapted_basis_once(monkeypatch):
+    # 28 brackets [x_i, x_j], i < j, and none more: every T vector is read
+    # off the adapted table, not formed by two more brackets
+    real = LieAlgebra.bracket_coords
+    calls = []
+
+    def counted(self, x, y):
+        calls.append(1)
+        return real(self, x, y)
+
+    for name in ("g1", "g2", "g3", "g4"):
+        grading = catalog(name).grading
+        _uncontracted_adapted.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(LieAlgebra, "bracket_coords", counted)
+            calls.clear()
+            generate_equations(grading)
+        assert len(calls) == 28, name
+
+
+def test_parts_that_are_not_a_labeled_grading_are_refused():
+    # the 8 coordinate lines of sl(3) are no grading: [E13, E31] = H1 + H2
+    # lies in no single line; g4 with the labels of parts 0 and 1 swapped is
+    # a grading whose labels do not add along its brackets
+    lines = Grading(special_linear(3),
+                    [Subspace.from_vectors(8, [[int(k == i) for k in range(8)]])
+                     for i in range(8)], AbelianGroup((8,)), [(i,) for i in range(8)])
+    g4 = catalog("g4").grading
+    labels = list(g4.labels)
+    labels[0], labels[1] = labels[1], labels[0]
+    swapped = Grading(g4.algebra, g4.parts, g4.group, labels)
+    refusals = ((lines, "the bracket of L1 (part 1) and L4 (part 4) lies in no single part"),
+                (swapped, "the bracket of L(2,0) (part 0) and L(0,1) (part 2) lies in "
+                          "part 4, labeled (1,1), not (2,1)"))
+    for grading, message in refusals:
+        for build in (generate_equations, lambda g: contracted_structure(g, {})):
+            with pytest.raises(ValueError) as exc:
+                build(grading)
+            assert str(exc.value) == message
 
 
 def test_trivial_grading_has_one_free_variable():
