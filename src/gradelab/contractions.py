@@ -18,12 +18,13 @@ chain of its nonzero terms, the one shape T1+T2+T3 = 0 leaves, and refuses
 a table of any other shape.
 
 The residuals come from one sparse table per grading, the `StructureTable`
-of the grading-adapted basis (`_uncontracted_adapted`, which refuses parts
-that are not a labeled grading): [[x_a,x_b],x_c] = sum_m c_ab^m [x_m,x_c],
-one `cyclo._dot` per adapted coordinate.  The three T vectors lie in the
-part labeled la+lb+lc, whose basis is in RREF, so the pivot coordinates are
-its pivot columns at the RREF pivots of the adapted coefficient rows.  The
-test suite keeps the dense route, in the algebra's coordinates, as reference.
+of the grading-adapted basis, read off `verify_grading`'s certificate by
+`_uncontracted_adapted`, which refuses parts that are not a labeled grading:
+[[x_a,x_b],x_c] = sum_m c_ab^m [x_m,x_c], one `cyclo._dot` per coordinate.
+The three T vectors lie in the part labeled la+lb+lc, whose basis is in
+RREF, so the pivot coordinates are its pivot columns at the RREF pivots of
+the adapted coefficient rows.  The test suite keeps the dense route, in the
+algebra's coordinates, as reference.
 
 The independent ground truth is `jacobi_oracle`, a direct Jacobi check on
 the contracted structure constants: the same table with the blocks
@@ -44,9 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclo import _dot
-from .linalg import Matrix, vec_is_zero
+from .linalg import Matrix
 from .liealg import StructureTable, jacobi_table_holds
-from .gradings import Grading, format_label
+from .gradings import Grading, _adapted_basis, format_label, verify_grading
 from .normalizers import Permutation, PermutationGroup
 
 DEFAULT_NODE_CAP = 2_000_000
@@ -149,20 +150,6 @@ class _ComboTable:
     allowed: int
 
 
-def _adapted_basis(g: Grading):
-    """Flattened part bases: coordinate vectors, their part index, names, and
-    the pivot column of each in its part's RREF basis."""
-    vectors, parts, names = [], [], []
-    for i, part in enumerate(g.parts):
-        for r, v in enumerate(part.basis):
-            vectors.append(v)
-            parts.append(i)
-            suffix = f".{r}" if part.dim > 1 else ""
-            names.append(f"L{format_label(g.labels[i])}{suffix}")
-    leads = [next(k for k, x in enumerate(v) if not x.is_zero()) for v in vectors]
-    return vectors, parts, names, leads
-
-
 def _sparse_sum(vectors) -> dict:
     """The sum of sparse vectors {n: c}, its zero coordinates dropped."""
     total = {}
@@ -182,7 +169,9 @@ def generate_equations(g: Grading) -> ContractionSystem:
                        for i, a in enumerate(labels) for b in labels[i:])
     var_index = {p: i for i, p in enumerate(variables)}
 
-    _, part_of, names, leads = _adapted_basis(g)
+    _, part_of, leads = _adapted_basis(g)
+    names = [f"L{format_label(labels[i])}" + (f".{r}" if part.dim > 1 else "")
+             for i, part in enumerate(g.parts) for r in range(part.dim)]
     pair_of, table = _uncontracted_adapted(g)
     order, factors = table._prepared()
 
@@ -235,37 +224,24 @@ def generate_equations(g: Grading) -> ContractionSystem:
 
 @lru_cache(maxsize=8)
 def _uncontracted_adapted(g: Grading):
-    """(pair_of, table): the `StructureTable` of the adapted basis in its own
-    coordinates, and the label pair of each nonzero entry's block.  Each
-    bracket [x_i, x_j], i < j, is formed once; it must lie in the part
-    labeled l_i + l_j and is read there at that part's RREF pivot columns.
-    A one-line ValueError names one that lies in no single part (the parts
-    are not a grading), or else the first in a part of another label."""
-    vectors, part_of, names, leads = _adapted_basis(g)
-    parts, labels = g.parts, g.labels
-    labeled = {label: p for p, label in enumerate(labels)}
-    upper, pair_of, misplaced = {}, {}, []
-    for i, j in itertools.combinations(range(len(vectors)), 2):
-        br = g.algebra.bracket_coords(vectors[i], vectors[j])
-        if vec_is_zero(br):
-            continue
-        li, lj = labels[part_of[i]], labels[part_of[j]]
-        total = g.group.add(li, lj)
-        p = labeled.get(total)
-        if p is None or not parts[p].contains(br):
-            p = next((q for q, part in enumerate(parts) if part.contains(br)), None)
-            where = f"the bracket of {names[i]} (part {part_of[i]}) and {names[j]} " \
-                    f"(part {part_of[j]}) lies in "
-            if p is None:
-                raise ValueError(where + "no single part")
-            misplaced.append(where + f"part {p}, labeled {format_label(labels[p])}, "
-                                     f"not {format_label(total)}")
-        upper[i, j] = {n: br[leads[n]] for n, q in enumerate(part_of)
-                       if q == p and not br[leads[n]].is_zero()}
-        pair_of[i, j] = pair_of[j, i] = pair_key(li, lj)
-    if misplaced:
-        raise ValueError(misplaced[0])
-    return pair_of, StructureTable(len(vectors), upper)
+    """(pair_of, table): the label pair of each nonzero block, and the
+    `StructureTable` of the brackets in `verify_grading`'s certificate.  A
+    one-line ValueError names the part pair whose bracket lies in no single
+    part, or else the first whose bracket lies in a part of another label."""
+    cert, labels = verify_grading(g), g.labels
+    if not cert.ok:
+        raise ValueError("the bracket of parts {} and {} lies in no single part"
+                         .format(*cert.violation))
+    for (i, j), k in cert.bracket_targets.items():
+        total = g.group.add(labels[i], labels[j])
+        if k is not None and labels[k] != total:
+            raise ValueError(f"the bracket of parts {i} and {j} lies in part {k}, labeled "
+                             f"{format_label(labels[k])}, not {format_label(total)}")
+    _, part_of, _ = _adapted_basis(g)
+    pair_of = {}
+    for i, j in cert.brackets:
+        pair_of[i, j] = pair_of[j, i] = pair_key(labels[part_of[i]], labels[part_of[j]])
+    return pair_of, StructureTable(len(part_of), cert.brackets)
 
 
 def contracted_structure(g: Grading, eps: dict) -> StructureTable:

@@ -4,8 +4,10 @@ A grading is a direct-sum decomposition L = (+)_i L_i such that every
 bracket [L_i, L_j] is zero or lands inside a single part.  Fine gradings
 arise as common eigenspace decompositions of commuting diagonalizable
 automorphism families; the four families for sl(3,C) live in `catalog`.
-`Grading.from_json` is the one reader of a grading document, for the
-library and for `grading verify --input` alike.
+`verify_grading` forms each bracket of a grading's basis once; its
+certificate places them for the labelings, the normalizer bound and the
+contraction tables alike.  `Grading.from_json` is the one reader of a
+grading document, for the library and for `grading verify --input` alike.
 """
 from __future__ import annotations
 
@@ -233,38 +235,63 @@ def common_eigenspaces(gens) -> Grading:
 
 @dataclass(frozen=True)
 class GradingCertificate:
-    """Outcome of verify_grading: the pair -> part map, or the failing pair."""
+    """Outcome of verify_grading: the pair -> part map and the brackets of
+    the adapted basis, or the failing pair."""
 
     ok: bool
     bracket_targets: dict
     violation: tuple | None = None
+    brackets: dict | None = None
 
     def __bool__(self):
         return self.ok
 
 
-def _bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspace:
-    vectors = [algebra.bracket_coords(x, y) for x in left.basis for y in right.basis]
-    return Subspace.from_vectors(algebra.dim, vectors)
+def _adapted_basis(g: Grading):
+    """The parts' RREF basis vectors in turn, the part of each vector, and
+    its pivot column in its part's basis."""
+    vectors = [v for part in g.parts for v in part.basis]
+    part_of = [i for i, part in enumerate(g.parts) for _ in part.basis]
+    leads = [next(k for k, x in enumerate(v) if not x.is_zero()) for v in vectors]
+    return vectors, part_of, leads
 
 
 @lru_cache(maxsize=8)
 def verify_grading(g: Grading) -> GradingCertificate:
-    """Check that every pairwise bracket span sits inside a single part.
+    """Check that the bracket of every two parts sits inside a single part.
 
-    The certificate is cached for the last few gradings and shared between
-    callers, who only read it."""
-    targets = {}
-    for i, j in itertools.product(range(g.num_parts), repeat=2):
-        span = _bracket_span(g.algebra, g.parts[i], g.parts[j])
-        if span.is_zero():
-            targets[(i, j)] = None
-            continue
-        home = next((k for k, p in enumerate(g.parts) if p.contains_subspace(span)), None)
-        if home is None:
-            return GradingCertificate(False, targets, violation=(i, j))
-        targets[(i, j)] = home
-    return GradingCertificate(True, targets)
+    Each bracket [x_a, x_b], a < b, of the adapted basis is formed once, by
+    part pairs i <= j in row-major order.  A nonzero vector of an RREF span
+    leads at one of its pivot columns, so a bracket is tried only in parts
+    with a pivot at its leading column, and only in its pair's home once
+    one is found.  The first bracket placed nowhere makes (i, j) the
+    violation, the first failing ordered pair as [L_j, L_i] = [L_i, L_j].
+    `bracket_targets` maps the ordered pairs (up to a violation) to their
+    home, None for a zero bracket; `brackets` holds each nonzero bracket
+    at its home's pivot columns, {(a, b): {m: c}}: the adapted structure
+    table of `contractions`.  The certificate is cached for the last few
+    gradings and shared between callers, who only read it."""
+    vectors, part_of, leads = _adapted_basis(g)
+    start = list(itertools.accumulate(g.part_dims, initial=0))
+    targets, brackets = {}, {}
+    for i, j in itertools.combinations_with_replacement(range(g.num_parts), 2):
+        home = None
+        for a in range(start[i], start[i + 1]):
+            for b in range(max(a + 1, start[j]), start[j + 1]):
+                br = g.algebra.bracket_coords(vectors[a], vectors[b])
+                lead = next((k for k, x in enumerate(br) if not x.is_zero()), None)
+                if lead is None:
+                    continue
+                home = next((p for p in range(g.num_parts) if home in (None, p)
+                             and lead in leads[start[p]:start[p + 1]]
+                             and g.parts[p].contains(br)), None)
+                if home is None:
+                    before = {ij: k for ij, k in targets.items() if ij < (i, j)}
+                    return GradingCertificate(False, before, violation=(i, j))
+                brackets[a, b] = {m: br[leads[m]] for m in range(start[home], start[home + 1])
+                                  if not br[leads[m]].is_zero()}
+        targets[i, j] = targets[j, i] = home
+    return GradingCertificate(True, targets, brackets=brackets)
 
 
 def _checked_labels(group: AbelianGroup, labels, num_parts: int) -> tuple:
@@ -282,12 +309,8 @@ def verify_labeling(g: Grading, group: AbelianGroup, labels) -> bool:
     """Check [L_i, L_j] <= L_{labels(i)+labels(j)} for all bracket-active pairs."""
     labels = _checked_labels(group, labels, g.num_parts)
     cert = verify_grading(g)
-    if not cert.ok:
-        return False
-    for (i, j), k in cert.bracket_targets.items():
-        if k is not None and group.add(labels[i], labels[j]) != labels[k]:
-            return False
-    return True
+    return cert.ok and all(k is None or group.add(labels[i], labels[j]) == labels[k]
+                           for (i, j), k in cert.bracket_targets.items())
 
 
 def _part_maps(n: int, rules, candidates, combine):

@@ -8,7 +8,7 @@ import pytest
 
 from gradelab import contractions, selfcheck
 from gradelab.contractions import (ContractionSystem, Equation, NodeCapExceeded,
-                                   SolutionSet, _ComboTable, _adapted_basis,
+                                   SolutionSet, _ComboTable,
                                    _symmetries, _table_chain, _uncontracted_adapted,
                                    apply_variable_permutation,
                                    burnside_orbit_count, contracted_structure, generate_equations,
@@ -17,7 +17,8 @@ from gradelab.contractions import (ContractionSystem, Equation, NodeCapExceeded,
                                    sweep_equations, sweep_oracle,
                                    symmetry_orbits)
 from gradelab.cyclo import CycloNumber
-from gradelab.gradings import AbelianGroup, Grading, catalog, verify_grading
+from gradelab.gradings import (AbelianGroup, Grading, _adapted_basis, catalog,
+                               format_label, verify_grading)
 from gradelab.liealg import LieAlgebra, StructureTable, special_linear
 from gradelab.linalg import Matrix, Subspace, vec_is_zero
 from gradelab.normalizers import (Permutation, PermutationGroup, quotient_group,
@@ -592,7 +593,9 @@ def _dense_route(g):
     table by the inverse of the matrix of the adapted basis."""
     algebra, group, labels = g.algebra, g.group, list(g.labels)
     dim = algebra.dim
-    vectors, part_of, names, _ = _adapted_basis(g)
+    vectors, part_of, _ = _adapted_basis(g)
+    names = [f"L{format_label(labels[i])}" + (f".{r}" if part.dim > 1 else "")
+             for i, part in enumerate(g.parts) for r in range(part.dim)]
     variables = sorted(pair_key(a, b) for i, a in enumerate(labels) for b in labels[i:])
     var_index = {p: i for i, p in enumerate(variables)}
     inner = {(i, j): algebra.bracket_coords(vectors[i], vectors[j])
@@ -659,8 +662,9 @@ def test_sparse_route_matches_the_dense_route():
 
 
 def test_generate_equations_forms_each_bracket_of_the_adapted_basis_once(monkeypatch):
-    # 28 brackets [x_i, x_j], i < j, and none more: every T vector is read
-    # off the adapted table, not formed by two more brackets
+    # 28 brackets [x_i, x_j], i < j, all formed by `verify_grading`, and
+    # none more: every T vector is read off the adapted table, not formed
+    # by two more brackets
     real = LieAlgebra.bracket_coords
     calls = []
 
@@ -671,6 +675,7 @@ def test_generate_equations_forms_each_bracket_of_the_adapted_basis_once(monkeyp
     for name in ("g1", "g2", "g3", "g4"):
         grading = catalog(name).grading
         _uncontracted_adapted.cache_clear()
+        verify_grading.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(LieAlgebra, "bracket_coords", counted)
             calls.clear()
@@ -689,9 +694,10 @@ def test_parts_that_are_not_a_labeled_grading_are_refused():
     labels = list(g4.labels)
     labels[0], labels[1] = labels[1], labels[0]
     swapped = Grading(g4.algebra, g4.parts, g4.group, labels)
-    refusals = ((lines, "the bracket of L1 (part 1) and L4 (part 4) lies in no single part"),
-                (swapped, "the bracket of L(2,0) (part 0) and L(0,1) (part 2) lies in "
-                          "part 4, labeled (1,1), not (2,1)"))
+    assert verify_grading(lines).violation == (1, 4)
+    refusals = ((lines, "the bracket of parts 1 and 4 lies in no single part"),
+                (swapped, "the bracket of parts 0 and 2 lies in part 4, labeled (1,1), "
+                          "not (2,1)"))
     for grading, message in refusals:
         for build in (generate_equations, lambda g: contracted_structure(g, {})):
             with pytest.raises(ValueError) as exc:

@@ -1,6 +1,7 @@
 """Fine gradings of sl(3,C): catalog construction, verification, labeling."""
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -12,7 +13,7 @@ from gradelab.cyclo import zeta
 from gradelab.gradings import (CATALOG_NAMES, AbelianGroup, Grading, catalog,
                                coarsen, common_eigenspaces, mad_group_spec,
                                search_labeling, verify_grading, verify_labeling)
-from gradelab.liealg import parse_element, special_linear
+from gradelab.liealg import LieAlgebra, parse_element, special_linear
 from gradelab.linalg import Matrix, Subspace
 
 sl3 = special_linear(3)
@@ -98,6 +99,103 @@ def test_verify_rejects_a_corrupted_decomposition():
     cert = verify_grading(Grading(sl3, bad))
     assert not cert.ok
     assert cert.violation is not None
+
+
+def _span_route(g):
+    """(ok, violation, bracket_targets) by the span route, as the reference:
+    the ordered part pairs in row-major order, the span of each pair's
+    brackets row-reduced and tried in every part by `contains_subspace`."""
+    targets = {}
+    for i, j in itertools.product(range(g.num_parts), repeat=2):
+        span = Subspace.from_vectors(g.algebra.dim,
+                                     [g.algebra.bracket_coords(x, y)
+                                      for x in g.parts[i].basis for y in g.parts[j].basis])
+        if span.is_zero():
+            targets[(i, j)] = None
+            continue
+        home = next((k for k, p in enumerate(g.parts) if p.contains_subspace(span)), None)
+        if home is None:
+            return False, (i, j), targets
+        targets[(i, j)] = home
+    return True, None, targets
+
+
+def _random_partition(rng, n, blocks):
+    """A partition of 0..n-1 into `blocks` nonempty blocks."""
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), blocks - 1))
+    return [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def _random_direct_sum(rng):
+    """Random lines and planes of small integer vectors summing to sl(3)."""
+    while True:
+        dims = []
+        while sum(dims) < 8:
+            dims.append(rng.choice((1, 2) if sum(dims) < 7 else (1,)))
+        rows = [[rng.randint(-1, 1) for _ in range(8)] for _ in range(8)]
+        if Matrix.from_rows(rows).rank() < 8:
+            continue
+        starts = list(itertools.accumulate(dims, initial=0))
+        return Grading(sl3, [Subspace.from_vectors(8, rows[a:b])
+                             for a, b in zip(starts, starts[1:])])
+
+
+def _shuffled_and_bent(rng, g):
+    """g's parts in a random order, one of them tilted towards another's
+    first basis vector: still a direct sum, rarely a grading, and its first
+    misplaced bracket may come after the first row of part pairs."""
+    parts = rng.sample(g.parts, g.num_parts)
+    k, l = rng.sample(range(g.num_parts), 2)
+    w = parts[l].basis[0]
+    parts[k] = Subspace.from_vectors(8, [[x + y for x, y in zip(row, w)]
+                                         for row in parts[k].basis])
+    return Grading(g.algebra, parts)
+
+
+def test_verify_grading_agrees_with_the_span_route():
+    # one bracket per basis pair a < b, placed by its leading column, gives
+    # the span route's verdict, violation and targets, partial ones included
+    rng = random.Random(3907)
+    fine = [catalog(name).grading for name in CATALOG_NAMES]
+    cases = fine + [Grading(sl3, [Subspace.full(8)])]
+    for g in fine:
+        n = g.num_parts
+        for pair in itertools.combinations(range(n), 2):
+            cases.append(coarsen(g, [list(pair)] + [[k] for k in range(n) if k not in pair]))
+        for _ in range(8):
+            cases.append(coarsen(g, _random_partition(rng, n, rng.randint(2, n - 1))))
+            cases.append(_shuffled_and_bent(rng, g))
+    cases += [_random_direct_sum(rng) for _ in range(16)]
+    assert len(cases) == 5 + 98 + 32 + 32 + 16
+    verdicts = set()
+    for g in cases:
+        cert = verify_grading(g)
+        assert (cert.ok, cert.violation, cert.bracket_targets) == _span_route(g), g
+        verdicts.add(cert.ok)
+    assert verdicts == {True, False}
+
+
+def test_verify_grading_forms_each_bracket_of_the_basis_once(monkeypatch):
+    # 28 brackets [x_a, x_b], a < b, per catalog grading, where the span
+    # route formed 64; a merge of g4 stops at its first misplaced bracket
+    real = LieAlgebra.bracket_coords
+    calls = []
+
+    def counted(self, x, y):
+        calls.append(1)
+        return real(self, x, y)
+
+    g4 = catalog("g4").grading
+    merged = coarsen(g4, [[0, 1], [2, 3], [4, 7], [5, 6]])
+    expected = [(catalog(name).grading, 28, None) for name in CATALOG_NAMES]
+    for g, count, violation in expected + [(merged, 2, (0, 1))]:
+        verify_grading.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(LieAlgebra, "bracket_coords", counted)
+            calls.clear()
+            cert = verify_grading(g)
+        assert (len(calls), cert.violation) == (count, violation), g
 
 
 def test_catalog_labelings_are_additive():
