@@ -10,11 +10,17 @@ same order are equal iff their numerators and denominators are equal.
 `coeffs` gives the same coordinates as a tuple of Fractions.
 
 A product is one convolution of numerators and one fold modulo Phi_N through
-a table of the reductions of z^e built once per order (`_times`, `_fold`).
-Two private kernels build on it for the exact linear algebra: `_dot` sums
-many products over one denominator, and `_sub_mul` makes the row update
-v - f * w as one scalar.  Each reduces once, so its result is canonical and
-equal to the one the operators give step by step.
+a table of the reductions of z^e built once per order (`_times`, `_fold`),
+and an inverse is extended Euclid on integer polynomials (`_bezout`).  The
+quadratic fields, orders 3, 4 and 6 (Phi_N = x^2 + p1 x + p0), take closed
+forms instead: a product reduces by z^2 = -p1 z - p0, and an inverse is
+conj(a) / N(a).  Two private kernels build on the product for the exact
+linear algebra: `_dot` sums many products over one denominator, and
+`_sub_mul` makes the row update v - f * w as one scalar.  Each reduces once,
+so its result is canonical and equal to the one the operators give step by
+step.  The catalog's scalars lie in the quadratic fields, g1's and g4's in
+Q(zeta_3) and g2's AdH in Q(i), all but g3's: Q(zeta_8), like the orders 12
+and 24 where mixed scalars meet, keeps the general kernels.
 """
 from __future__ import annotations
 
@@ -169,11 +175,19 @@ def _fold(terms: list[int], order: int) -> list[int]:
 
 def _times(an: tuple, bn: tuple, order: int) -> list[int]:
     """The numerators of the product of the values with numerators `an` and
-    `bn` at `order`, over the product of their denominators: one convolution,
-    which skips the zero numerators of the sparser factor, and one fold; not
-    in lowest terms."""
+    `bn` at `order`, over the product of their denominators; not in lowest
+    terms.  A quadratic field (orders 3, 4 and 6, Phi = x^2 + p1 x + p0)
+    takes the closed form z^2 = -p1 z - p0; any larger one, one
+    convolution, which skips the zero numerators of the sparser factor, and
+    one fold."""
     if len(an) == 1:  # a rational field: orders 1 and 2
         return [an[0] * bn[0]]
+    if len(an) == 2:
+        p0, p1, _ = cyclotomic_polynomial(order)
+        x0, x1 = an
+        y0, y1 = bn
+        t = x1 * y1
+        return [x0 * y0 - p0 * t, x0 * y1 + x1 * y0 - p1 * t]
     if an.count(0) < bn.count(0):  # the sparser factor drives the outer loop
         an, bn = bn, an
     out = [0] * (2 * len(an) - 1)
@@ -297,12 +311,7 @@ class CycloNumber:
             else self._coerce(other)
         if a is None:
             return NotImplemented
-        da, db = a.den, b.den
-        if da == db:
-            return _lowest(a.order, [x + y for x, y in zip(a.nums, b.nums)], da)
-        g = gcd(da, db)
-        ma, mb = db // g, da // g
-        return _lowest(a.order, [x * ma + y * mb for x, y in zip(a.nums, b.nums)], da * ma)
+        return _merge(a.order, a.nums, a.den, b.nums, b.den, 1)
 
     __radd__ = __add__
 
@@ -314,12 +323,7 @@ class CycloNumber:
             else self._coerce(other)
         if a is None:
             return NotImplemented
-        da, db = a.den, b.den
-        if da == db:
-            return _lowest(a.order, [x - y for x, y in zip(a.nums, b.nums)], da)
-        g = gcd(da, db)
-        ma, mb = db // g, da // g
-        return _lowest(a.order, [x * ma - y * mb for x, y in zip(a.nums, b.nums)], da * ma)
+        return _merge(a.order, a.nums, a.den, b.nums, b.den, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -330,8 +334,6 @@ class CycloNumber:
         if a is None:
             return NotImplemented
         an, bn = a.nums, b.nums
-        if len(an) == 1:  # a rational field, as in `_times`, without its call
-            return _lowest(a.order, [an[0] * bn[0]], a.den * b.den)
         if not any(an) or not any(bn):
             return _constant(0, a.order)
         return _lowest(a.order, _times(an, bn, a.order), a.den * b.den)
@@ -339,12 +341,21 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
+        """1 / self.  A rational inverts its numerator; in a quadratic field
+        1 / a = conj(a) / N(a), with conj(a0 + a1 z) = a0 - p1 a1 - a1 z and
+        the norm a0^2 - p1 a0 a1 + p0 a1^2, positive as the three fields are
+        imaginary; in a larger one, extended Euclid modulo Phi_order."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         order, nums, den = self.order, self.nums, self.den
         if not any(nums[1:]):
             c = nums[0]
             return _exact(order, (den if c > 0 else -den,) + nums[1:], abs(c))
+        if len(nums) == 2:
+            p0, p1, _ = cyclotomic_polynomial(order)
+            a0, a1 = nums
+            return _lowest(order, [den * (a0 - p1 * a1), -den * a1],
+                           a0 * a0 - p1 * a0 * a1 + p0 * a1 * a1)
         s, c = _bezout(nums, cyclotomic_polynomial(order))
         # s * nums = c modulo Phi_order, so 1 / (nums / den) = den * s / c.
         if c < 0:
@@ -405,9 +416,16 @@ class CycloNumber:
         h = self._hash
         if h is None:
             # equal values share one canonical (conductor, numerators, denominator)
-            h = hash(_canonical_form(self.order, self.nums, self.den))
+            form = _canonical_form(self.order, self.nums, self.den)
+            if form[0] == 1:  # a rational hashes as the int or Fraction it equals
+                num, den = form[1][0], form[2]
+                form = num if den == 1 else Fraction(num, den)
+            h = hash(form)
             _set_hash(self, h)
         return h
+
+    def __bool__(self):
+        return any(self.nums)
 
     # --- conversions -------------------------------------------------------
 
@@ -508,23 +526,25 @@ def _fraction(a: int, den: int) -> tuple[int, int]:
     return a // g, den // g
 
 
+def _merge(order: int, an, da: int, bn, db: int, sign: int) -> CycloNumber:
+    """an / da + sign * bn / db, sign 1 or -1, for the numerators of two
+    values at `order`: the denominators merged by gcd, the sum put in lowest
+    terms once."""
+    g = gcd(da, db)
+    ma, mb = db // g, da // g * sign
+    return _lowest(order, [x * ma + y * mb for x, y in zip(an, bn)], da * ma)
+
+
 def _sub_mul(v: CycloNumber, f: CycloNumber, w: CycloNumber) -> CycloNumber:
     """v - f * w for three scalars of one order, the update of an exact row.
 
-    One convolution and one fold give the product's numerators over
-    f.den * w.den; the two denominators are merged by gcd as `__add__`
-    merges two, and the difference is put in lowest terms once.  The result
-    is canonical, so it equals the two-operation `v - f * w`, without the
-    scalar that operation builds, reduces and coerces for the product.
+    `_times` gives the product's numerators over f.den * w.den, and `_merge`
+    subtracts them as `__sub__` subtracts a scalar, so the result is
+    canonical and equals the two-operation `v - f * w`, without the scalar
+    that operation builds, reduces and coerces for the product.
     """
-    order, vn, dv = v.order, v.nums, v.den
-    p = _times(f.nums, w.nums, order)
-    dp = f.den * w.den
-    if dv == dp:
-        return _lowest(order, [x - y for x, y in zip(vn, p)], dv)
-    g = gcd(dv, dp)
-    mv, mp = dp // g, dv // g
-    return _lowest(order, [x * mv - y * mp for x, y in zip(vn, p)], dv * mv)
+    order = v.order
+    return _merge(order, v.nums, v.den, _times(f.nums, w.nums, order), f.den * w.den, -1)
 
 
 def _dot(order: int, pairs) -> CycloNumber:
@@ -536,10 +556,11 @@ def _dot(order: int, pairs) -> CycloNumber:
     list of 2 phi - 1 numerators over the least common multiple of their
     denominators, merged by gcd as `__add__` merges two, and only the sum
     is folded and put in lowest terms: canonical, so equal to the value a
-    product-by-product sum gives, at `order`.  Zero factors add nothing;
-    no pairs give the shared zero of `order`, and one pair of factors at
-    `order` is their product as `__mul__` makes it, which costs less to
-    set up.
+    product-by-product sum gives, at `order`.  A quadratic field (orders 3,
+    4 and 6) sums through `_quadratic_dot` instead, in three integers
+    reduced once by a closed form.  Zero factors add nothing; no pairs give
+    the shared zero of `order`, and one pair of factors at `order` is their
+    product as `__mul__` makes it, which costs less to set up.
     """
     if not pairs:
         return _constant(0, order)
@@ -548,6 +569,8 @@ def _dot(order: int, pairs) -> CycloNumber:
         if a.order == order == b.order:  # one product, at the cost of `__mul__`
             return _lowest(order, _times(a.nums, b.nums, order), a.den * b.den)
     phi = euler_phi(order)
+    if phi == 2:
+        return _quadratic_dot(order, pairs)
     acc = [0] * (2 * phi - 1)
     den = 1
     for a, b in pairs:
@@ -578,6 +601,41 @@ def _dot(order: int, pairs) -> CycloNumber:
                         k += 1
                 i += 1
     return _lowest(order, _fold(acc, order), den)
+
+
+def _quadratic_dot(order: int, pairs) -> CycloNumber:
+    """`_dot` at order 3, 4 or 6: the integer products of the pairs add up
+    in three accumulators, the coefficients of 1, z and z^2, over the
+    merged denominator, and z^2 = -p1 z - p0 reduces the sum once."""
+    c0 = c1 = c2 = 0
+    den = 1
+    for a, b in pairs:
+        an, bn = a.nums, b.nums
+        d = a.den * b.den
+        if d != den:  # den becomes lcm(den, d), as in `_dot`
+            g = gcd(den, d)
+            s = d // g
+            if s != 1:
+                c0, c1, c2 = c0 * s, c1 * s, c2 * s
+                den *= s
+            if d != den:
+                m = den // d
+                an = [x * m for x in an]
+        if len(an) == 1:
+            an, bn = bn, an
+        if len(bn) == 1:  # a rational factor; the other may be rational too
+            y = bn[0]
+            c0 += an[0] * y
+            if len(an) == 2:
+                c1 += an[1] * y
+        else:
+            x0, x1 = an
+            y0, y1 = bn
+            c0 += x0 * y0
+            c1 += x0 * y1 + x1 * y0
+            c2 += x1 * y1
+    p0, p1, _ = cyclotomic_polynomial(order)
+    return _lowest(order, [c0 - p0 * c2, c1 - p1 * c2], den)
 
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,10 @@ from math import gcd, lcm
 
 import pytest
 
-from gradelab.cyclo import (MAX_JSON_ORDER, CycloNumber, cyclotomic_polynomial,
-                            euler_phi, sort_key, zeta)
+from gradelab import cyclo
+from gradelab.cyclo import (MAX_JSON_ORDER, CycloNumber, _bezout, _dot, _fold, _lowest,
+                            _sub_mul, cyclotomic_polynomial, euler_phi, sort_key, zeta)
+from gradelab.linalg import Matrix
 
 rng = random.Random(91101)
 
@@ -64,6 +66,55 @@ def test_inverse_round_trip():
             continue
         assert a * a.inverse() == CycloNumber.one(a.order)
         checked += 1
+
+
+def bezout_inverse(x):
+    """1 / x by extended Euclid modulo Phi_order, as every field of degree
+    above 2 inverts: s * nums = c, so 1 / (nums / den) = den * s / c."""
+    s, c = _bezout(x.nums, cyclotomic_polynomial(x.order))
+    den = x.den if c > 0 else -x.den
+    return _lowest(x.order, _fold([den * v for v in s], x.order), abs(c))
+
+
+@pytest.mark.parametrize("order", [3, 4, 6])
+def test_quadratic_inverse_is_the_bezout_inverse(order):
+    pick = random.Random(order * 7919)
+    values = [zeta(order), zeta(order) + 1, zeta(order) * Fraction(-2, 3) + Fraction(5, 7)]
+    for _ in range(60):
+        size = 10 ** pick.choice((1, 5, 20, 60))
+        values.append(CycloNumber(order, [Fraction(pick.randint(-size, size) or 1,
+                                                   pick.randint(1, size))
+                                          for _ in range(2)]))
+    for x in values:
+        got, want = x.inverse(), bezout_inverse(x)
+        assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+        assert x * got == CycloNumber.one(order)
+
+
+def test_quadratic_kernels_need_no_fold_and_no_euclid(monkeypatch):
+    # products, sums of products, row updates and inverses over Q(zeta_3),
+    # Q(i) and Q(zeta_6) take closed forms; order 8 is the control
+    calls = []
+
+    def counted(name):
+        original = getattr(cyclo, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for name in ("_fold", "_bezout"):
+        monkeypatch.setattr(cyclo, name, counted(name))
+    half = CycloNumber.from_rational(Fraction(1, 2))
+    for order in (3, 4, 6, 8):
+        calls.clear()
+        x, y = zeta(order) * Fraction(3, 2) - 1, zeta(order, 2) + Fraction(1, 3)
+        m = Matrix(3, 3, [zeta(order, i * j) + i - j for i in range(3) for j in range(3)])
+        m = m + Matrix.identity(3)
+        (x * y, x.inverse(), _dot(order, [(x, y), (half, x), (half, half)]),
+         _sub_mul(x, y, x), m * m, m.inverse(), m.apply([x, half, y]))
+        assert (calls == []) == (order != 8), (order, calls)
 
 
 def _schoolbook(order, a, b, op):
@@ -140,6 +191,19 @@ def test_mixed_order_equality_agrees_with_the_reduced_values(m, n):
             assert (a == b) == (b == a) == same, (m, n, a, b)
             if lcm(m, n) <= MAX_JSON_ORDER:
                 assert (a == b) == (a - b).is_zero()
+
+
+def test_rational_values_follow_pythons_number_rules():
+    # a value of conductor 1 hashes as the int or Fraction it equals
+    assert hash(zeta(3) ** 3) == hash(1)
+    assert {1: "x"}.get(zeta(3) ** 3) == "x"
+    assert len({CycloNumber.one(), 1}) == 1
+    assert len({CycloNumber.from_rational(Fraction(-2, 3), 12), Fraction(-2, 3)}) == 1
+    assert {Fraction(5, 2): "y"}.get(CycloNumber.from_rational(5, 4) * Fraction(1, 2)) == "y"
+    assert hash(CycloNumber.from_rational(-1, 6)) == hash(-1)
+    # zero is false, every other value true, at every order
+    assert not CycloNumber.zero(3) and not CycloNumber.zero() and not zeta(4) - zeta(4)
+    assert zeta(3) and CycloNumber.one(8) and CycloNumber.from_rational(Fraction(1, 7), 6)
 
 
 def test_rational_values_descend_to_conductor_one():

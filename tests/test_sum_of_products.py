@@ -4,7 +4,7 @@ Matrix products, matrix-vector products and brackets all sum through the
 kernel; each is compared here with the sum a plain loop of CycloNumber
 products and additions gives, scalar for scalar and through `to_json()`, so
 values, scalar orders and output bytes must all agree.  Scalars mix the
-orders 1, 2, 3, 4, 8, 12 and 24 and carry denominators.
+orders 1, 2, 3, 4, 6, 8, 12 and 24 and carry denominators.
 """
 import random
 from fractions import Fraction
@@ -16,7 +16,7 @@ from gradelab.cyclo import CycloNumber, _dot, euler_phi, zeta
 from gradelab.linalg import Matrix
 from gradelab.liealg import special_linear
 
-ORDERS = (1, 2, 3, 4, 8, 12, 24)
+ORDERS = (1, 2, 3, 4, 6, 8, 12, 24)
 DENOMINATORS = (1, 1, 2, 3, 4, 6, 9)
 
 rng = random.Random(280531)
@@ -73,6 +73,24 @@ def test_dot_merges_denominators_and_cancels_to_canonical_zero():
         {"order": 12, "terms": []}
     assert _dot(12, [(z, half), (minus, z * third)]).to_json() == \
         (z * Fraction(1, 6)).to_json()
+
+
+@pytest.mark.parametrize("order", [3, 4, 6])
+def test_dot_of_rational_pairs_in_a_quadratic_field(order):
+    # pairs whose two factors are both rational (orders 1 and 2), alone and
+    # beside pairs with one or no rational factor
+    half, minus = CycloNumber.from_rational(Fraction(1, 2)), zeta(2)
+    third = CycloNumber.from_rational(Fraction(-1, 3), 2)
+    z = zeta(order) * Fraction(2, 5)
+    for pairs in ([(half, minus), (third, half)], [(half, third)] * 3,
+                  [(half, minus), (z, third), (third, z)], [(z, z), (minus, minus), (half, z)],
+                  [(minus, half), (half, half), (minus, minus)]):
+        got = _dot(order, pairs)
+        want = plain_sum(pairs, CycloNumber.zero(order)).reduced().embed(order)
+        assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+    # 1/2 * -1 + 1/2 * 1 cancels to the canonical zero
+    zero = _dot(order, [(half, minus), (half, CycloNumber.one(2))])
+    assert (zero.order, zero.nums, zero.den) == (order, (0, 0), 1)
 
 
 def reference_product(a, b):
